@@ -3,17 +3,14 @@
 #
 #   ./ci.sh            # tier-1 (default build + full test suite + trace/audit smokes,
 #                      # including the golden-digest fast subset and a negative test that a
-#                      # perturbed GC decision is caught and bisected), then the shard-safety
-#                      # analyzer, then ASan/UBSan tests (timeline determinism included)
+#                      # perturbed GC decision is caught and bisected), then ASan/UBSan tests
+#                      # (timeline determinism included)
 #   ./ci.sh --tier1    # tier-1 only
 #   ./ci.sh --asan     # sanitizer pass only
 #   ./ci.sh --tsan     # ThreadSanitizer pass only
 #   ./ci.sh --lint     # static analysis only: tools/check.sh --strict (lint.py +
 #                      # clang-format + clang-tidy, missing tools are an error) and a
 #                      # -Werror strict build
-#   ./ci.sh --analyze  # shard-safety pass only: tools/shard_analyze.py (clean inventory +
-#                      # byte-identical rerun + seeded-violation negative test) and, where
-#                      # clang is installed, a -Werror=thread-safety build
 #   ./ci.sh --suite    # tier-1 build, then the bench suite checked against BENCH_baseline.json
 #   ./ci.sh --perf     # Release build, self-profiled bench subset (--perf --repeat 5) gated
 #                      # against BENCH_perf_baseline.json, plus a deliberate-slowdown check
@@ -30,48 +27,37 @@ run_tier1=1
 run_asan=1
 run_tsan=0
 run_lint=0
-run_analyze=1
 run_suite=0
 run_perf=0
 case "${1:-}" in
   --tier1)
     run_asan=0
-    run_analyze=0
     ;;
   --asan)
     run_tier1=0
-    run_analyze=0
     ;;
   --tsan)
     run_tier1=0
     run_asan=0
-    run_analyze=0
     run_tsan=1
     ;;
   --lint)
     run_tier1=0
     run_asan=0
-    run_analyze=0
     run_lint=1
-    ;;
-  --analyze)
-    run_tier1=0
-    run_asan=0
     ;;
   --suite)
     run_asan=0
-    run_analyze=0
     run_suite=1
     ;;
   --perf)
     run_tier1=0
     run_asan=0
-    run_analyze=0
     run_perf=1
     ;;
   "") ;;
   *)
-    echo "usage: $0 [--tier1|--asan|--tsan|--lint|--analyze|--suite|--perf]" >&2
+    echo "usage: $0 [--tier1|--asan|--tsan|--lint|--suite|--perf]" >&2
     exit 2
     ;;
 esac
@@ -85,46 +71,6 @@ if [[ "$run_lint" == 1 ]]; then
   echo "=== lint: -Werror strict build ==="
   cmake -B build-werror -S . -DBLOCKHEAD_WERROR=ON
   cmake --build build-werror -j "$jobs"
-fi
-
-if [[ "$run_analyze" == 1 ]]; then
-  echo "=== analyze: shard-safety inventory (tools/shard_analyze.py) ==="
-  analyze_dir=$(mktemp -d)
-  # The default path runs tier-1 first, which owns the EXIT trap for its smoke dir; chain
-  # rather than overwrite it.
-  trap 'rm -rf "${smoke_dir:-}" "$analyze_dir"' EXIT
-  python3 tools/shard_analyze.py --output "$analyze_dir/report.json"
-
-  echo "=== analyze: report determinism (byte-identical rerun) ==="
-  python3 tools/shard_analyze.py --output "$analyze_dir/report_again.json" --quiet
-  cmp "$analyze_dir/report.json" "$analyze_dir/report_again.json"
-
-  echo "=== analyze: seeded violation must be caught and named ==="
-  # BLOCKHEAD_ANALYZE_SEED_VIOLATION activates an #ifdef'd mutable static in
-  # src/sched/gc_scheduler.cc that no compiler ever sees; the analyzer must flag it by name
-  # and exit nonzero, proving the mutable-static detector is alive.
-  seed_rc=0
-  python3 tools/shard_analyze.py --seed-violation \
-    --output "$analyze_dir/seeded.json" > "$analyze_dir/seeded.txt" 2>&1 || seed_rc=$?
-  if [[ "$seed_rc" == 0 ]]; then
-    echo "ci.sh: FAIL — analyzer passed a tree with the seeded shard violation" >&2
-    cat "$analyze_dir/seeded.txt" >&2
-    exit 1
-  fi
-  grep -q "g_seeded_shard_violation" "$analyze_dir/seeded.txt"
-  grep -q "mutable-static" "$analyze_dir/seeded.txt"
-  echo "ci.sh: OK — seeded violation caught: \
-$(grep 'g_seeded_shard_violation' "$analyze_dir/seeded.txt" | head -1 | xargs)"
-
-  if command -v clang++ > /dev/null 2>&1; then
-    echo "=== analyze: clang -Werror=thread-safety build ==="
-    cmake -B build-tsafety -S . -DCMAKE_CXX_COMPILER=clang++ -DBLOCKHEAD_THREAD_SAFETY=ON
-    cmake --build build-tsafety -j "$jobs"
-  else
-    echo "SKIPPED: clang++ not found — -Werror=thread-safety build needs clang's"
-    echo "         thread-safety analysis (annotations are no-ops under GCC; the analyzer"
-    echo "         passes above still gate the shard-domain inventory)"
-  fi
 fi
 
 if [[ "$run_tier1" == 1 ]]; then

@@ -22,7 +22,6 @@
 #include <memory>
 #include <vector>
 
-#include "src/core/shard_safety.h"
 #include "src/util/histogram.h"
 #include "src/util/status.h"
 #include "src/util/types.h"
@@ -54,8 +53,8 @@ class StaticPartitionBudget final : public ZoneBudgetManager {
   const char* name() const override { return "static-partition"; }
 
  private:
-  std::uint32_t per_tenant_ BLOCKHEAD_SHARD_SHARED;
-  std::vector<std::uint32_t> held_ BLOCKHEAD_SHARD_SHARED;
+  std::uint32_t per_tenant_;
+  std::vector<std::uint32_t> held_;
 };
 
 // Shared pool with an optional guaranteed minimum per tenant: a tenant can always reach its
@@ -71,10 +70,10 @@ class DemandBudget final : public ZoneBudgetManager {
   const char* name() const override { return "demand-based"; }
 
  private:
-  std::uint32_t total_ BLOCKHEAD_SHARD_SHARED;
-  std::uint32_t guaranteed_ BLOCKHEAD_SHARD_SHARED;
-  std::vector<std::uint32_t> held_ BLOCKHEAD_SHARD_SHARED;
-  std::uint32_t granted_ BLOCKHEAD_SHARD_SHARED = 0;
+  std::uint32_t total_;
+  std::uint32_t guaranteed_;
+  std::vector<std::uint32_t> held_;
+  std::uint32_t granted_ = 0;
 };
 
 struct TenantConfig {

@@ -31,8 +31,6 @@
 #include <ostream>
 #include <type_traits>
 
-#include "src/core/shard_safety.h"
-
 namespace blockhead {
 
 // An opaque index into one address space. `Tag` is an (incomplete) marker type that makes
@@ -82,7 +80,7 @@ class StrongId {
   }
 
  private:
-  Rep value_ BLOCKHEAD_SHARD_LOCAL(owner) = 0;
+  Rep value_ = 0;
 };
 
 // Physical flash hierarchy (paper §2.1): channel -> plane -> erasure block -> page. Each
@@ -167,7 +165,7 @@ class Quantity {
   }
 
  private:
-  Rep value_ BLOCKHEAD_SHARD_LOCAL(owner) = 0;
+  Rep value_ = 0;
 };
 
 // Quantities used across layer boundaries: a byte count and a flash-page count. The two are

@@ -15,7 +15,6 @@ FlashDevice::FlashDevice(const FlashConfig& config) : config_(config), rng_(conf
   plane_maintenance_busy_.assign(config_.geometry.total_planes(), MaintMark{});
   plane_busy_series_.assign(config_.geometry.total_planes(), BusySeries{});
   channel_busy_series_.assign(config_.geometry.channels, BusySeries{});
-  sharding_.Init(config_.geometry.channels, config_.geometry.total_planes());
 }
 
 FlashDevice::~FlashDevice() { AttachTelemetry(nullptr); }
@@ -91,7 +90,6 @@ void FlashDevice::PublishMetrics() {
   r.GetGauge(p + ".wear.mean_erase_count")->Set(w.mean_erase_count);
   r.GetGauge(p + ".wear.stddev_erase_count")->Set(w.stddev_erase_count);
   r.GetCounter(p + ".wear.bad_blocks")->Set(w.bad_blocks);
-  sharding_.PublishTo(r, p);
   // Full bucketed erase-count distribution (not just the moments): rebuilt from the current
   // per-block counts on every publish so the snapshot always reflects the live state.
   Histogram* wear = r.GetHistogram(p + ".wear.erase_count");
@@ -213,7 +211,6 @@ Result<SimTime> FlashDevice::ReadPage(const PhysAddr& addr, SimTime issue,
       std::memset(out.data(), 0, g.page_size);
     }
   }
-  sharding_.RecordOp(addr.channel.value(), plane_index);
   if (telemetry_ != nullptr) {
     telemetry_->selfprof.NoteSimTime(done);
   }
@@ -330,7 +327,6 @@ Result<SimTime> FlashDevice::ProgramPage(const PhysAddr& addr, SimTime issue,
   if (audit) {
     audit_blocks_->Replace(done, pre_program, BlockEntryHash(flat, block));
   }
-  sharding_.RecordOp(addr.channel.value(), plane_index);
   if (telemetry_ != nullptr) {
     telemetry_->selfprof.NoteSimTime(done);
   }
@@ -389,7 +385,6 @@ Result<SimTime> FlashDevice::EraseBlock(ChannelId channel, PlaneId plane, BlockI
   if (audit) {
     audit_blocks_->Replace(done, pre_erase, BlockEntryHash(flat, state));
   }
-  sharding_.RecordOp(channel.value(), plane_index);
   if (telemetry_ != nullptr) {
     telemetry_->selfprof.NoteSimTime(done);
   }

@@ -18,11 +18,9 @@
 #include <string>
 #include <vector>
 
-#include "src/core/shard_safety.h"
 #include "src/core/strong_id.h"
 #include "src/flash/geometry.h"
 #include "src/flash/timing.h"
-#include "src/telemetry/selfprof/sharding_stats.h"
 #include "src/telemetry/telemetry.h"
 #include "src/util/rng.h"
 #include "src/util/status.h"
@@ -131,11 +129,6 @@ class FlashDevice {
 
   WearSummary ComputeWear() const;
 
-  // Sharding feasibility report: per-channel/per-plane event occupancy and cross-channel
-  // dependency counts, recorded for every flash operation (SimTime-domain, deterministic).
-  // Published under "<prefix>.sharding.*" while telemetry is attached.
-  const ShardingStats& sharding() const { return sharding_; }
-
  private:
   struct BlockState {
     std::uint32_t next_page = 0;
@@ -164,46 +157,42 @@ class FlashDevice {
   SimTime MaintenanceOverlap(std::uint32_t plane_index, SimTime issue, SimTime start) const;
   void PublishMetrics();
 
-  FlashConfig config_ BLOCKHEAD_SHARD_SHARED;
-  std::vector<BlockState> blocks_ BLOCKHEAD_SHARD_LOCAL(plane);       // Indexed by FlatBlockIndex.
-  std::vector<SimTime> plane_busy_ BLOCKHEAD_SHARD_LOCAL(plane);      // Indexed by PlaneIndex.
-  std::vector<SimTime> channel_busy_ BLOCKHEAD_SHARD_LOCAL(channel);    // Indexed by channel.
+  FlashConfig config_;
+  std::vector<BlockState> blocks_;     // Indexed by FlatBlockIndex.
+  std::vector<SimTime> plane_busy_;    // Indexed by PlaneIndex.
+  std::vector<SimTime> channel_busy_;  // Indexed by channel.
   // Last maintenance op per plane (GC-interference attribution + interferer identity).
-  std::vector<MaintMark> plane_maintenance_busy_ BLOCKHEAD_SHARD_LOCAL(plane);
+  std::vector<MaintMark> plane_maintenance_busy_;
   // Busy intervals (host + maintenance), settled at sample boundaries so the timeline's
   // kRate samplers report true 0..1 busy fractions even though ops book their whole service
   // interval at issue time. Booked only while the timeline is enabled.
-  std::vector<BusySeries> plane_busy_series_ BLOCKHEAD_SHARD_LOCAL(plane);
-  std::vector<BusySeries> channel_busy_series_ BLOCKHEAD_SHARD_LOCAL(channel);
-  FlashStats stats_ BLOCKHEAD_SHARD_SHARED;
-  ShardingStats sharding_ BLOCKHEAD_SHARD_SHARED;
-  Rng rng_ BLOCKHEAD_SHARD_SHARED;
+  std::vector<BusySeries> plane_busy_series_;
+  std::vector<BusySeries> channel_busy_series_;
+  FlashStats stats_;
+  Rng rng_;
 
-  Telemetry* telemetry_ BLOCKHEAD_SIM_GLOBAL = nullptr;
-  std::string metric_prefix_ BLOCKHEAD_SIM_GLOBAL;
+  Telemetry* telemetry_ = nullptr;
+  std::string metric_prefix_;
   // Write-provenance recording: every program/erase is tallied under the innermost open
   // CauseScope. The ledger pointer is cached at attach so the hot path does no map lookup.
-  WriteProvenance* provenance_ BLOCKHEAD_SIM_GLOBAL = nullptr;
-  WriteProvenance::DeviceLedger* ledger_ BLOCKHEAD_SIM_GLOBAL = nullptr;
+  WriteProvenance* provenance_ = nullptr;
+  WriteProvenance::DeviceLedger* ledger_ = nullptr;
   // Request-path charging: host ops attribute their queue/GC/media intervals to the active
   // request's exclusive segments. Cached at attach like the provenance ledger.
-  RequestPathLedger* reqpath_ BLOCKHEAD_SIM_GLOBAL = nullptr;
+  RequestPathLedger* reqpath_ = nullptr;
   // State-digest audit of block states ("<prefix>.blocks"): one entry per erasure block
   // hashing (flat index, write pointer, erase count, bad flag). Registered at attach; every
   // program/erase folds the block's old entry out and the new one in (O(1), see
   // src/telemetry/audit/state_digest.h).
-  SubsystemDigest* audit_blocks_ BLOCKHEAD_SIM_GLOBAL = nullptr;
+  SubsystemDigest* audit_blocks_ = nullptr;
   std::uint64_t BlockEntryHash(std::uint64_t flat_index, const BlockState& b) const {
     return AuditHashWords({flat_index, b.next_page, b.erase_count, b.bad ? 1u : 0u});
   }
-  std::uint32_t max_erase_count_
-      BLOCKHEAD_SHARD_SHARED = 0;  // Running max, sampled as a timeline counter track.
-  int sampler_group_ BLOCKHEAD_SIM_GLOBAL = -1;
-  std::vector<std::string> plane_tracks_
-      BLOCKHEAD_SIM_GLOBAL;  // Precomputed "<prefix>.plane<i>" track names.
-  Histogram* read_latency_ BLOCKHEAD_SIM_GLOBAL = nullptr;     // Host reads, issue -> completion.
-  Histogram* program_latency_
-      BLOCKHEAD_SIM_GLOBAL = nullptr;  // Host programs, issue -> completion.
+  std::uint32_t max_erase_count_ = 0;  // Running max, sampled as a timeline counter track.
+  int sampler_group_ = -1;
+  std::vector<std::string> plane_tracks_;  // Precomputed "<prefix>.plane<i>" track names.
+  Histogram* read_latency_ = nullptr;      // Host reads, issue -> completion.
+  Histogram* program_latency_ = nullptr;   // Host programs, issue -> completion.
 };
 
 }  // namespace blockhead

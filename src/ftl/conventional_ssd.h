@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "src/block/block_device.h"
-#include "src/core/shard_safety.h"
 #include "src/core/strong_id.h"
 #include "src/flash/flash_device.h"
 #include "src/util/status.h"
@@ -169,36 +168,31 @@ class ConventionalSsd final : public BlockDevice {
   SimTime BufferAck(SimTime data_in, SimTime program_done);
   void PublishMetrics();
 
-  FlashDevice flash_ BLOCKHEAD_SHARD_SHARED;
-  FtlConfig config_ BLOCKHEAD_SHARD_SHARED;
-  std::uint64_t logical_pages_ BLOCKHEAD_SHARD_SHARED = 0;
-  std::uint32_t gc_trigger_blocks_ BLOCKHEAD_SHARD_SHARED = 0;
-  std::uint32_t gc_target_blocks_ BLOCKHEAD_SHARD_SHARED = 0;
+  FlashDevice flash_;
+  FtlConfig config_;
+  std::uint64_t logical_pages_ = 0;
+  std::uint32_t gc_trigger_blocks_ = 0;
+  std::uint32_t gc_target_blocks_ = 0;
 
-  std::vector<std::uint64_t> l2p_
-      BLOCKHEAD_SHARD_SHARED;  // Logical page -> flat physical page (or kUnmapped).
-  std::vector<std::uint64_t> p2l_
-      BLOCKHEAD_SHARD_SHARED;  // Flat physical page -> logical page (or kUnmapped).
-  std::vector<BlockMeta> block_meta_ BLOCKHEAD_SHARD_LOCAL(plane);
-  std::vector<PlaneState> planes_ BLOCKHEAD_SHARD_LOCAL(plane);
-  std::vector<std::uint32_t> next_host_plane_
-      BLOCKHEAD_SHARD_SHARED;  // Per-stream round-robin striping cursors.
-  std::uint32_t next_gc_plane_ BLOCKHEAD_SHARD_SHARED = 0;
-  std::uint64_t free_block_count_ BLOCKHEAD_SHARD_SHARED = 0;
-  std::uint64_t victim_scan_cursor_
-      BLOCKHEAD_SHARD_SHARED = 0;  // Rotating start for victim scans (tie fairness).
-  std::uint64_t gc_cycles_since_wear_check_ BLOCKHEAD_SHARD_SHARED = 0;
-  std::deque<SimTime> inflight_program_completions_
-      BLOCKHEAD_SHARD_SHARED;  // Write-buffer occupancy model.
+  std::vector<std::uint64_t> l2p_;  // Logical page -> flat physical page (or kUnmapped).
+  std::vector<std::uint64_t> p2l_;  // Flat physical page -> logical page (or kUnmapped).
+  std::vector<BlockMeta> block_meta_;
+  std::vector<PlaneState> planes_;
+  std::vector<std::uint32_t> next_host_plane_;  // Per-stream round-robin striping cursors.
+  std::uint32_t next_gc_plane_ = 0;
+  std::uint64_t free_block_count_ = 0;
+  std::uint64_t victim_scan_cursor_ = 0;  // Rotating start for victim scans (tie fairness).
+  std::uint64_t gc_cycles_since_wear_check_ = 0;
+  std::deque<SimTime> inflight_program_completions_;  // Write-buffer occupancy model.
 
-  FtlStats stats_ BLOCKHEAD_SHARD_SHARED;
-  Telemetry* telemetry_ BLOCKHEAD_SIM_GLOBAL = nullptr;
-  std::string metric_prefix_ BLOCKHEAD_SIM_GLOBAL;
-  int sampler_group_ BLOCKHEAD_SIM_GLOBAL = -1;  // Timeline group for free-pool / WA gauges.
+  FtlStats stats_;
+  Telemetry* telemetry_ = nullptr;
+  std::string metric_prefix_;
+  int sampler_group_ = -1;  // Timeline group for free-pool / WA gauges.
 
   // State-digest audit of the mapping table ("<prefix>.ftl.l2p"): one entry per mapped
   // logical page hashing (lpn, ppn). p2l_ is derived state and is not digested separately.
-  SubsystemDigest* audit_l2p_ BLOCKHEAD_SIM_GLOBAL = nullptr;
+  SubsystemDigest* audit_l2p_ = nullptr;
   static std::uint64_t L2pEntryHash(std::uint64_t lpn, std::uint64_t ppn) {
     return AuditHashWords({lpn, ppn});
   }
@@ -206,8 +200,8 @@ class ConventionalSsd final : public BlockDevice {
   // selection at now >= the given SimTime picks the second-best block instead of the best,
   // once. Used by ci.sh and the EXPERIMENTS.md walkthrough to prove digest_bisect localizes
   // a single perturbed GC decision; never set in normal runs.
-  SimTime perturb_gc_at_ BLOCKHEAD_SHARD_SHARED = 0;
-  bool perturb_pending_ BLOCKHEAD_SHARD_SHARED = false;
+  SimTime perturb_gc_at_ = 0;
+  bool perturb_pending_ = false;
 };
 
 }  // namespace blockhead

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "src/block/block_device.h"
-#include "src/core/shard_safety.h"
 #include "src/core/strong_id.h"
 #include "src/sched/gc_scheduler.h"
 #include "src/util/status.h"
@@ -124,39 +123,37 @@ class HostFtlBlockDevice final : public BlockDevice {
   std::uint32_t PickVictim(bool critical) const;
   void PublishMetrics();
 
-  ZnsDevice* device_ BLOCKHEAD_SHARD_SHARED;
-  HostFtlConfig config_ BLOCKHEAD_SHARD_SHARED;
-  GcScheduler scheduler_ BLOCKHEAD_SHARD_SHARED;
+  ZnsDevice* device_;
+  HostFtlConfig config_;
+  GcScheduler scheduler_;
 
-  std::uint64_t logical_pages_ BLOCKHEAD_SHARD_SHARED = 0;
-  std::uint64_t zone_pages_ BLOCKHEAD_SHARD_SHARED = 0;
+  std::uint64_t logical_pages_ = 0;
+  std::uint64_t zone_pages_ = 0;
 
-  std::vector<std::uint64_t> l2p_ BLOCKHEAD_SHARD_SHARED;       // Logical page -> device LBA.
-  std::vector<std::uint64_t> d2l_ BLOCKHEAD_SHARD_SHARED;       // Device LBA -> logical page.
-  std::vector<std::uint32_t> zone_live_ BLOCKHEAD_SHARD_SHARED; // Live pages per zone.
-  std::vector<std::uint32_t> free_zones_ BLOCKHEAD_SHARD_SHARED;
+  std::vector<std::uint64_t> l2p_;        // Logical page -> device LBA.
+  std::vector<std::uint64_t> d2l_;        // Device LBA -> logical page.
+  std::vector<std::uint32_t> zone_live_;  // Live pages per zone.
+  std::vector<std::uint32_t> free_zones_;
   static constexpr std::uint32_t kNoZone = ~0U;
-  std::uint32_t host_zone_
-      BLOCKHEAD_SHARD_SHARED = kNoZone;        // Current zone receiving host writes.
-  std::uint32_t reloc_zone_
-      BLOCKHEAD_SHARD_SHARED = kNoZone;       // Current zone receiving GC copies.
+  std::uint32_t host_zone_ = kNoZone;   // Current zone receiving host writes.
+  std::uint32_t reloc_zone_ = kNoZone;  // Current zone receiving GC copies.
   // Incremental-reclamation state: the victim being drained and the scan position within it.
-  std::uint32_t gc_victim_ BLOCKHEAD_SHARD_SHARED = kNoZone;
-  std::uint64_t gc_offset_ BLOCKHEAD_SHARD_SHARED = 0;
+  std::uint32_t gc_victim_ = kNoZone;
+  std::uint64_t gc_offset_ = 0;
   // stats_.gc_pages_copied at victim selection (per-cycle copy count for the kGcCycle event).
-  std::uint64_t gc_cycle_copied_base_ BLOCKHEAD_SHARD_SHARED = 0;
+  std::uint64_t gc_cycle_copied_base_ = 0;
 
-  HostFtlStats stats_ BLOCKHEAD_SHARD_SHARED;
-  Telemetry* telemetry_ BLOCKHEAD_SIM_GLOBAL = nullptr;
-  std::string metric_prefix_ BLOCKHEAD_SIM_GLOBAL;
-  int sampler_group_ BLOCKHEAD_SIM_GLOBAL = -1;  // Timeline group for free-space / WA gauges.
+  HostFtlStats stats_;
+  Telemetry* telemetry_ = nullptr;
+  std::string metric_prefix_;
+  int sampler_group_ = -1;  // Timeline group for free-space / WA gauges.
   // Logical bytes accepted from the host, accumulated into the provenance ledger's domain
   // "<prefix>" as a link in the factorized-WA chain.
-  Bytes* provenance_ingress_ BLOCKHEAD_SIM_GLOBAL = nullptr;
+  Bytes* provenance_ingress_ = nullptr;
 
   // State-digest audit of the host-side mapping ("<prefix>.l2p"): one entry per mapped
   // logical page hashing (lpn, device LBA). d2l_/zone_live_ are derived state.
-  SubsystemDigest* audit_l2p_ BLOCKHEAD_SIM_GLOBAL = nullptr;
+  SubsystemDigest* audit_l2p_ = nullptr;
   static std::uint64_t L2pEntryHash(std::uint64_t lpn, std::uint64_t dev_lba) {
     return AuditHashWords({lpn, dev_lba});
   }

@@ -4,13 +4,6 @@
 
 namespace blockhead {
 
-#ifdef BLOCKHEAD_ANALYZE_SEED_VIOLATION
-// Negative-test seed for tools/shard_analyze.py (ci.sh --analyze): an unannotated mutable
-// static that the analyzer must catch and name. The macro is never defined in any build, so
-// compilers never see this; the analyzer parses the block only when seeding is requested.
-static std::uint64_t g_seeded_shard_violation = 0;
-#endif
-
 const char* GcSchedPolicyName(GcSchedPolicy policy) {
   switch (policy) {
     case GcSchedPolicy::kInline:

@@ -13,7 +13,6 @@
 #include <string>
 #include <string_view>
 
-#include "src/core/shard_safety.h"
 #include "src/util/types.h"
 
 namespace blockhead {
@@ -91,16 +90,16 @@ class GcScheduler {
   // Appends a kGcWindow event if the decision differs from the previous one.
   void NoteDecision(bool run, SimTime now) const;
 
-  GcSchedulerConfig config_ BLOCKHEAD_SHARD_SHARED;
-  SimTime last_run_ BLOCKHEAD_SHARD_SHARED = 0;
-  bool has_run_ BLOCKHEAD_SHARD_SHARED = false;
+  GcSchedulerConfig config_;
+  SimTime last_run_ = 0;
+  bool has_run_ = false;
   // ShouldRun is logically const (a pure policy query); the tallies and the window-edge
   // tracking are observability only.
-  mutable GcSchedStats stats_ BLOCKHEAD_SHARD_SHARED;
-  EventLog* events_ BLOCKHEAD_SIM_GLOBAL = nullptr;
-  std::string source_ BLOCKHEAD_SIM_GLOBAL;
-  mutable bool has_decision_ BLOCKHEAD_SHARD_SHARED = false;
-  mutable bool last_decision_ BLOCKHEAD_SHARD_SHARED = false;
+  mutable GcSchedStats stats_;
+  EventLog* events_ = nullptr;
+  std::string source_;
+  mutable bool has_decision_ = false;
+  mutable bool last_decision_ = false;
 };
 
 }  // namespace blockhead

@@ -8,8 +8,8 @@
 //
 //   * an insert/remove/replace costs O(1) — fold the old entry hash out, the new one in;
 //   * the digest depends only on the *set* of live entries, never on mutation order — two
-//     runs that arrive at the same state by different schedules (the sequential reference vs
-//     a future sharded core, or pre-crash vs post-recovery) produce the same digest;
+//     runs that arrive at the same state by different schedules (e.g. pre-crash vs
+//     post-recovery) produce the same digest;
 //   * two digests that differ prove the states differ (up to 128-bit collision odds).
 //
 // Digests are checkpointed into a per-subsystem timeline at configurable SimTime epochs
@@ -40,7 +40,6 @@
 #include <string_view>
 #include <vector>
 
-#include "src/core/shard_safety.h"
 #include "src/util/histogram.h"
 #include "src/util/types.h"
 
@@ -155,14 +154,13 @@ class SubsystemDigest {
   // Seals pending epochs when `t` has crossed an epoch boundary since the last mutation.
   void Checkpoint(SimTime t);
 
-  StateAudit* owner_ BLOCKHEAD_SIM_GLOBAL;
-  std::string name_ BLOCKHEAD_SIM_GLOBAL;
-  DigestValue value_ BLOCKHEAD_SIM_GLOBAL;
-  std::uint64_t mutations_ BLOCKHEAD_SIM_GLOBAL = 0;
-  std::uint64_t epoch_ BLOCKHEAD_SIM_GLOBAL = 0;       // Epoch of the last mutation.
-  bool touched_ BLOCKHEAD_SIM_GLOBAL = false;          // Any mutation recorded yet?
-  std::vector<Sealed> sealed_
-      BLOCKHEAD_SIM_GLOBAL;    // Ascending by epoch; sparse (mutated epochs only).
+  StateAudit* owner_;
+  std::string name_;
+  DigestValue value_;
+  std::uint64_t mutations_ = 0;
+  std::uint64_t epoch_ = 0;     // Epoch of the last mutation.
+  bool touched_ = false;        // Any mutation recorded yet?
+  std::vector<Sealed> sealed_;  // Ascending by epoch; sparse (mutated epochs only).
 };
 
 // The per-bundle audit layer. One per Telemetry; benches enable it for --audit.
@@ -216,18 +214,15 @@ class StateAudit {
   // delegation prefix applied) into retired_ and drops the child pointer.
   void AbsorbChild(StateAudit* child);
 
-  bool enabled_ BLOCKHEAD_SIM_GLOBAL = false;
-  AuditConfig config_ BLOCKHEAD_SIM_GLOBAL;
-  StateAudit* root_ BLOCKHEAD_SIM_GLOBAL = nullptr;   // Non-null: Register forwards to this audit.
-  std::string delegate_prefix_
-      BLOCKHEAD_SIM_GLOBAL;  // Prepended to names registered through this audit.
+  bool enabled_ = false;
+  AuditConfig config_;
+  StateAudit* root_ = nullptr;   // Non-null: Register forwards to this audit.
+  std::string delegate_prefix_;  // Prepended to names registered through this audit.
   // Name-sorted (std::map, deterministic iteration — the digest-order lint requires it).
-  std::map<std::string, std::unique_ptr<SubsystemDigest>, std::less<>> subsystems_
-      BLOCKHEAD_SIM_GLOBAL;
+  std::map<std::string, std::unique_ptr<SubsystemDigest>, std::less<>> subsystems_;
   // Digest history of subsystems whose owner died before the dump (absorbed children).
-  std::vector<Retired> retired_ BLOCKHEAD_SIM_GLOBAL;
-  std::vector<StateAudit*> children_
-      BLOCKHEAD_SIM_GLOBAL;  // Live delegated audits (for absorb-on-detach).
+  std::vector<Retired> retired_;
+  std::vector<StateAudit*> children_;  // Live delegated audits (for absorb-on-detach).
 };
 
 inline bool SubsystemDigest::armed() const { return owner_->enabled(); }

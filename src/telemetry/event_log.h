@@ -26,7 +26,6 @@
 #include <string_view>
 #include <vector>
 
-#include "src/core/shard_safety.h"
 #include "src/telemetry/metric_registry.h"
 #include "src/util/types.h"
 
@@ -107,15 +106,15 @@ class EventLog {
   void PublishTo(MetricRegistry* registry, std::string_view prefix = "events");
 
  private:
-  std::size_t capacity_ BLOCKHEAD_SIM_GLOBAL;
-  std::deque<TimelineEvent> events_ BLOCKHEAD_SIM_GLOBAL;
-  std::uint64_t appended_ BLOCKHEAD_SIM_GLOBAL = 0;
-  std::uint64_t dropped_ BLOCKHEAD_SIM_GLOBAL = 0;
-  std::uint64_t next_seq_ BLOCKHEAD_SIM_GLOBAL = 1;
-  std::array<std::uint64_t, kNumTimelineEventTypes> appended_by_type_ BLOCKHEAD_SIM_GLOBAL{};
+  std::size_t capacity_;
+  std::deque<TimelineEvent> events_;
+  std::uint64_t appended_ = 0;
+  std::uint64_t dropped_ = 0;
+  std::uint64_t next_seq_ = 1;
+  std::array<std::uint64_t, kNumTimelineEventTypes> appended_by_type_{};
 
-  MetricRegistry* registry_ BLOCKHEAD_SIM_GLOBAL = nullptr;
-  std::string registry_prefix_ BLOCKHEAD_SIM_GLOBAL;
+  MetricRegistry* registry_ = nullptr;
+  std::string registry_prefix_;
 };
 
 }  // namespace blockhead

@@ -28,7 +28,6 @@
 #include <string_view>
 #include <vector>
 
-#include "src/core/shard_safety.h"
 #include "src/util/histogram.h"
 
 namespace blockhead {
@@ -40,7 +39,7 @@ class Counter {
   std::uint64_t value() const { return value_; }
 
  private:
-  std::uint64_t value_ BLOCKHEAD_SIM_GLOBAL = 0;
+  std::uint64_t value_ = 0;
 };
 
 class Gauge {
@@ -49,7 +48,7 @@ class Gauge {
   double value() const { return value_; }
 
  private:
-  double value_ BLOCKHEAD_SIM_GLOBAL = 0.0;
+  double value_ = 0.0;
 };
 
 enum class MetricKind { kCounter, kGauge, kHistogram };
@@ -104,9 +103,9 @@ class MetricRegistry {
     std::unique_ptr<Histogram> histogram;
   };
 
-  std::map<std::string, Metric, std::less<>> metrics_ BLOCKHEAD_SIM_GLOBAL;
-  std::map<std::string, std::function<void()>, std::less<>> providers_ BLOCKHEAD_SIM_GLOBAL;
-  std::uint64_t collisions_ BLOCKHEAD_SIM_GLOBAL = 0;
+  std::map<std::string, Metric, std::less<>> metrics_;
+  std::map<std::string, std::function<void()>, std::less<>> providers_;
+  std::uint64_t collisions_ = 0;
 };
 
 }  // namespace blockhead

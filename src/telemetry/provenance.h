@@ -32,7 +32,6 @@
 #include <string_view>
 #include <vector>
 
-#include "src/core/shard_safety.h"
 #include "src/core/strong_id.h"
 #include "src/telemetry/metric_registry.h"
 #include "src/util/types.h"
@@ -109,7 +108,7 @@ class WriteProvenance {
     CauseScope& operator=(const CauseScope&) = delete;
 
    private:
-    WriteProvenance* provenance_ BLOCKHEAD_SIM_GLOBAL;
+    WriteProvenance* provenance_;
   };
 
   WriteProvenance() = default;
@@ -224,9 +223,9 @@ class WriteProvenance {
     return {stack_.back().cause, stack_.back().layer};
   }
 
-  std::vector<OpenCause> stack_ BLOCKHEAD_SIM_GLOBAL;
-  std::map<std::string, DeviceLedger, std::less<>> devices_ BLOCKHEAD_SIM_GLOBAL;
-  std::map<std::string, Bytes, std::less<>> domains_ BLOCKHEAD_SIM_GLOBAL;
+  std::vector<OpenCause> stack_;
+  std::map<std::string, DeviceLedger, std::less<>> devices_;
+  std::map<std::string, Bytes, std::less<>> domains_;
 };
 
 // Publishes a factorized-WA report as gauges: <prefix>.wa.factor<i> per chain link plus

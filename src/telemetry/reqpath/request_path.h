@@ -50,7 +50,6 @@
 #include <string_view>
 #include <vector>
 
-#include "src/core/shard_safety.h"
 #include "src/telemetry/metric_registry.h"
 #include "src/telemetry/provenance.h"
 #include "src/util/histogram.h"
@@ -165,7 +164,7 @@ class RequestPathLedger {
     bool owns() const { return owner_ != nullptr; }
 
    private:
-    RequestPathLedger* owner_ BLOCKHEAD_SIM_GLOBAL = nullptr;
+    RequestPathLedger* owner_ = nullptr;
   };
 
   // Marks a section as internal background work driven from *outside* any layer entry point
@@ -189,7 +188,7 @@ class RequestPathLedger {
     }
 
    private:
-    RequestPathLedger* ledger_ BLOCKHEAD_SIM_GLOBAL = nullptr;
+    RequestPathLedger* ledger_ = nullptr;
   };
 
   // Reclassifies every charge made while open (fleet: non-primary replica legs charge
@@ -215,7 +214,7 @@ class RequestPathLedger {
     }
 
    private:
-    RequestPathLedger* ledger_ BLOCKHEAD_SIM_GLOBAL = nullptr;
+    RequestPathLedger* ledger_ = nullptr;
   };
 
   // Like SegmentOverrideScope, but every charge made while open additionally counts as
@@ -244,7 +243,7 @@ class RequestPathLedger {
     }
 
    private:
-    RequestPathLedger* ledger_ BLOCKHEAD_SIM_GLOBAL = nullptr;
+    RequestPathLedger* ledger_ = nullptr;
   };
 
   // Hot-path charge: attributes [start, end) of the active request's latency to `segment`.
@@ -408,38 +407,36 @@ class RequestPathLedger {
   void AbandonRequest();
   void OfferExemplar(const Exemplar& candidate);
 
-  bool enabled_ BLOCKHEAD_SIM_GLOBAL = false;
-  ReqPathConfig config_ BLOCKHEAD_SIM_GLOBAL;
-  RequestPathLedger* delegate_ BLOCKHEAD_SIM_GLOBAL = nullptr;
-  int suppress_ BLOCKHEAD_SIM_GLOBAL = 0;  // SuppressScope depth: >0 keeps new RequestScopes inert.
+  bool enabled_ = false;
+  ReqPathConfig config_;
+  RequestPathLedger* delegate_ = nullptr;
+  int suppress_ = 0;  // SuppressScope depth: >0 keeps new RequestScopes inert.
 
   // Active request (at most one: the simulator is single-threaded).
-  bool active_ BLOCKHEAD_SIM_GLOBAL = false;
-  RequestContext ctx_ BLOCKHEAD_SIM_GLOBAL;
-  SimTime issue_ BLOCKHEAD_SIM_GLOBAL = 0;
-  SimTime watermark_
-      BLOCKHEAD_SIM_GLOBAL = 0;  // End of the last accepted charge; earlier charges win overlap.
-  std::vector<ChargeRec> charges_
-      BLOCKHEAD_SIM_GLOBAL;  // Disjoint, ordered; capacity reused across requests.
-  std::uint64_t req_interference_ns_[kWriteCauseCount][kStackLayerCount] BLOCKHEAD_SIM_GLOBAL = {};
-  std::uint64_t longest_interference_ns_ BLOCKHEAD_SIM_GLOBAL = 0;
-  SimTime interferer_begin_ BLOCKHEAD_SIM_GLOBAL = 0;
-  SimTime interferer_end_ BLOCKHEAD_SIM_GLOBAL = 0;
-  WriteCause interferer_cause_ BLOCKHEAD_SIM_GLOBAL = WriteCause::kHostWrite;
-  StackLayer interferer_layer_ BLOCKHEAD_SIM_GLOBAL = StackLayer::kHost;
-  std::string interferer_track_ BLOCKHEAD_SIM_GLOBAL;
-  std::vector<OverrideRec> override_stack_ BLOCKHEAD_SIM_GLOBAL;
+  bool active_ = false;
+  RequestContext ctx_;
+  SimTime issue_ = 0;
+  SimTime watermark_ = 0;           // End of the last accepted charge; earlier charges win overlap.
+  std::vector<ChargeRec> charges_;  // Disjoint, ordered; capacity reused across requests.
+  std::uint64_t req_interference_ns_[kWriteCauseCount][kStackLayerCount] = {};
+  std::uint64_t longest_interference_ns_ = 0;
+  SimTime interferer_begin_ = 0;
+  SimTime interferer_end_ = 0;
+  WriteCause interferer_cause_ = WriteCause::kHostWrite;
+  StackLayer interferer_layer_ = StackLayer::kHost;
+  std::string interferer_track_;
+  std::vector<OverrideRec> override_stack_;
 
   // Run accumulation.
-  std::uint64_t seq_ BLOCKHEAD_SIM_GLOBAL = 0;
-  std::uint64_t abandoned_ BLOCKHEAD_SIM_GLOBAL = 0;
-  OpTotals op_totals_[kReqOpCount] BLOCKHEAD_SIM_GLOBAL;
-  std::map<std::uint64_t, TenantTotals> tenants_ BLOCKHEAD_SIM_GLOBAL;
-  std::uint64_t cum_interference_ns_[kWriteCauseCount][kStackLayerCount] BLOCKHEAD_SIM_GLOBAL = {};
-  Exemplar last_completed_ BLOCKHEAD_SIM_GLOBAL;
-  std::vector<Exemplar> exemplars_[kReqOpCount] BLOCKHEAD_SIM_GLOBAL;
-  std::vector<SloState> slos_ BLOCKHEAD_SIM_GLOBAL;
-  SimTime last_completion_ BLOCKHEAD_SIM_GLOBAL = 0;
+  std::uint64_t seq_ = 0;
+  std::uint64_t abandoned_ = 0;
+  OpTotals op_totals_[kReqOpCount];
+  std::map<std::uint64_t, TenantTotals> tenants_;
+  std::uint64_t cum_interference_ns_[kWriteCauseCount][kStackLayerCount] = {};
+  Exemplar last_completed_;
+  std::vector<Exemplar> exemplars_[kReqOpCount];
+  std::vector<SloState> slos_;
+  SimTime last_completion_ = 0;
 };
 
 }  // namespace blockhead

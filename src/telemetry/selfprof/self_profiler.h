@@ -1,13 +1,13 @@
 // Host-side self-profiler: wall-clock cost attribution for the simulator itself.
 //
 // Everything else in src/ is exhaustively instrumented in *simulated* time and deliberately
-// blind to the wall clock (the lint bans it — determinism). But the sharded-parallel-core
-// roadmap item needs the opposite view: where does *host CPU time* go while the simulator
-// runs, how many nanoseconds of wall time does one simulated flash operation cost, and how
-// much faster than real time does the model run? This module is the one sanctioned hole in
-// the wall-clock ban (tools/lint.py allowlists `std::chrono::steady_clock` here and only
-// here); nothing it measures ever feeds back into simulation behaviour, so SimTime-domain
-// outputs stay byte-identical with the profiler on or off.
+// blind to the wall clock (the lint bans it — determinism). Making the simulator faster needs
+// the opposite view: where does *host CPU time* go while the simulator runs, how many
+// nanoseconds of wall time does one simulated flash operation cost, and how much faster than
+// real time does the model run? This module is the one sanctioned hole in the wall-clock ban
+// (tools/lint.py allowlists `std::chrono::steady_clock` here and only here); nothing it
+// measures ever feeds back into simulation behaviour, so SimTime-domain outputs stay
+// byte-identical with the profiler on or off.
 //
 // Usage: layers open a `SelfProfiler::Scope(prof, subsystem, op)` around dispatch/GC/
 // compaction work (via `ProfilerOf(telemetry_)`, which is nullptr when telemetry is
@@ -41,7 +41,6 @@
 #include <string>
 #include <vector>
 
-#include "src/core/shard_safety.h"
 #include "src/telemetry/metric_registry.h"
 #include "src/util/types.h"
 
@@ -162,12 +161,12 @@ class SelfProfiler {
     void Begin(SelfProfiler* prof, ProfSubsystem sub, ProfOp op);
     void End();
 
-    SelfProfiler* prof_ BLOCKHEAD_SIM_GLOBAL = nullptr;
-    Scope* parent_ BLOCKHEAD_SIM_GLOBAL = nullptr;
-    std::uint64_t start_ns_ BLOCKHEAD_SIM_GLOBAL = 0;
-    std::uint64_t child_ns_ BLOCKHEAD_SIM_GLOBAL = 0;  // Wall time spent in directly nested scopes.
-    ProfSubsystem sub_ BLOCKHEAD_SIM_GLOBAL = ProfSubsystem::kBench;
-    ProfOp op_ BLOCKHEAD_SIM_GLOBAL = ProfOp::kOther;
+    SelfProfiler* prof_ = nullptr;
+    Scope* parent_ = nullptr;
+    std::uint64_t start_ns_ = 0;
+    std::uint64_t child_ns_ = 0;  // Wall time spent in directly nested scopes.
+    ProfSubsystem sub_ = ProfSubsystem::kBench;
+    ProfOp op_ = ProfOp::kOther;
   };
 
   // Turns profiling on: zeroes all cells/slices and starts the wall-clock epoch. Reads the
@@ -237,20 +236,18 @@ class SelfProfiler {
 
   void RecordSlice(ProfSubsystem sub, ProfOp op, std::uint64_t begin_ns, std::uint64_t end_ns);
 
-  bool enabled_ BLOCKHEAD_SIM_GLOBAL = false;
-  SelfProfConfig config_ BLOCKHEAD_SIM_GLOBAL;
-  std::uint64_t epoch_ns_ BLOCKHEAD_SIM_GLOBAL = 0;  // WallNowNs() at Enable().
-  SimTime max_sim_time_ BLOCKHEAD_SIM_GLOBAL = 0;
-  Scope* top_
-      BLOCKHEAD_SIM_GLOBAL = nullptr;  // Innermost open scope (single-threaded stack discipline).
-  SelfProfiler* delegate_
-      BLOCKHEAD_SIM_GLOBAL = nullptr;  // Non-null: forward everything to this profiler.
+  bool enabled_ = false;
+  SelfProfConfig config_;
+  std::uint64_t epoch_ns_ = 0;  // WallNowNs() at Enable().
+  SimTime max_sim_time_ = 0;
+  Scope* top_ = nullptr;              // Innermost open scope (single-threaded stack discipline).
+  SelfProfiler* delegate_ = nullptr;  // Non-null: forward everything to this profiler.
   std::array<ProfCell, static_cast<std::size_t>(ProfSubsystem::kCount) *
                            static_cast<std::size_t>(ProfOp::kCount)>
       cells_{};
-  std::uint64_t total_events_ BLOCKHEAD_SIM_GLOBAL = 0;
-  std::deque<HostSlice> slices_ BLOCKHEAD_SIM_GLOBAL;
-  std::uint64_t slices_dropped_ BLOCKHEAD_SIM_GLOBAL = 0;
+  std::uint64_t total_events_ = 0;
+  std::deque<HostSlice> slices_;
+  std::uint64_t slices_dropped_ = 0;
 };
 
 }  // namespace blockhead

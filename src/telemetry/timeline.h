@@ -42,7 +42,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/core/shard_safety.h"
 #include "src/util/types.h"
 
 namespace blockhead {
@@ -97,11 +96,9 @@ class BusySeries {
   }
 
  private:
-  std::deque<std::pair<SimTime, SimTime>> intervals_
-      BLOCKHEAD_SIM_GLOBAL;  // Disjoint, ordered, merged.
-  std::uint64_t settled_ BLOCKHEAD_SIM_GLOBAL = 0;
-  SimTime settled_t_
-      BLOCKHEAD_SIM_GLOBAL = 0;  // Highest boundary queried; books before it are clipped.
+  std::deque<std::pair<SimTime, SimTime>> intervals_;  // Disjoint, ordered, merged.
+  std::uint64_t settled_ = 0;
+  SimTime settled_t_ = 0;  // Highest boundary queried; books before it are clipped.
 };
 
 struct TimelineConfig {
@@ -262,29 +259,28 @@ class Timeline {
                  SimTime begin, SimTime end);
   void SampleGroup(std::size_t group, SimTime now);
 
-  bool enabled_ BLOCKHEAD_SIM_GLOBAL = false;
-  TimelineConfig config_ BLOCKHEAD_SIM_GLOBAL;
-  std::uint64_t next_seq_ BLOCKHEAD_SIM_GLOBAL = 1;
+  bool enabled_ = false;
+  TimelineConfig config_;
+  std::uint64_t next_seq_ = 1;
 
-  std::vector<std::string> names_ BLOCKHEAD_SIM_GLOBAL;
-  std::map<std::string, std::uint32_t, std::less<>> name_ids_ BLOCKHEAD_SIM_GLOBAL;
-  std::vector<Track> tracks_ BLOCKHEAD_SIM_GLOBAL;
-  std::map<std::string, std::uint32_t, std::less<>> track_ids_
-      BLOCKHEAD_SIM_GLOBAL;  // Key: "<pid>/<name>".
-  std::vector<std::string> series_names_ BLOCKHEAD_SIM_GLOBAL;
-  std::map<std::string, std::uint32_t, std::less<>> series_ids_ BLOCKHEAD_SIM_GLOBAL;
+  std::vector<std::string> names_;
+  std::map<std::string, std::uint32_t, std::less<>> name_ids_;
+  std::vector<Track> tracks_;
+  std::map<std::string, std::uint32_t, std::less<>> track_ids_;  // Key: "<pid>/<name>".
+  std::vector<std::string> series_names_;
+  std::map<std::string, std::uint32_t, std::less<>> series_ids_;
 
-  std::deque<Slice> slices_ BLOCKHEAD_SIM_GLOBAL;
-  std::deque<Sample> samples_ BLOCKHEAD_SIM_GLOBAL;
-  std::vector<Flow> flows_ BLOCKHEAD_SIM_GLOBAL;
-  std::uint64_t flows_recorded_ BLOCKHEAD_SIM_GLOBAL = 0;
-  std::uint64_t slices_recorded_ BLOCKHEAD_SIM_GLOBAL = 0;
-  std::uint64_t slices_dropped_ BLOCKHEAD_SIM_GLOBAL = 0;
-  std::uint64_t samples_recorded_ BLOCKHEAD_SIM_GLOBAL = 0;
-  std::uint64_t samples_dropped_ BLOCKHEAD_SIM_GLOBAL = 0;
+  std::deque<Slice> slices_;
+  std::deque<Sample> samples_;
+  std::vector<Flow> flows_;
+  std::uint64_t flows_recorded_ = 0;
+  std::uint64_t slices_recorded_ = 0;
+  std::uint64_t slices_dropped_ = 0;
+  std::uint64_t samples_recorded_ = 0;
+  std::uint64_t samples_dropped_ = 0;
 
-  std::vector<Group> groups_ BLOCKHEAD_SIM_GLOBAL;
-  std::map<std::string, std::size_t, std::less<>> group_ids_ BLOCKHEAD_SIM_GLOBAL;
+  std::vector<Group> groups_;
+  std::map<std::string, std::size_t, std::less<>> group_ids_;
 };
 
 }  // namespace blockhead

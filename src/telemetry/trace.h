@@ -37,7 +37,6 @@
 #include <string_view>
 #include <vector>
 
-#include "src/core/shard_safety.h"
 #include "src/telemetry/metric_registry.h"
 #include "src/telemetry/timeline.h"
 #include "src/util/types.h"
@@ -88,8 +87,8 @@ class Tracer {
     Span(Tracer* tracer, std::uint64_t id) : tracer_(tracer), id_(id) {}
     void Abandon();
 
-    Tracer* tracer_ BLOCKHEAD_SIM_GLOBAL = nullptr;
-    std::uint64_t id_ BLOCKHEAD_SIM_GLOBAL = 0;
+    Tracer* tracer_ = nullptr;
+    std::uint64_t id_ = 0;
   };
 
   // Opens a span named `name` starting at `begin` (SimTime).
@@ -122,10 +121,10 @@ class Tracer {
   void Finish(std::uint64_t id, SimTime end);
   void Remove(std::uint64_t id);
 
-  MetricRegistry* registry_ BLOCKHEAD_SIM_GLOBAL;
-  Timeline* timeline_ BLOCKHEAD_SIM_GLOBAL = nullptr;
-  std::vector<OpenSpan> open_ BLOCKHEAD_SIM_GLOBAL;
-  std::uint64_t next_id_ BLOCKHEAD_SIM_GLOBAL = 1;
+  MetricRegistry* registry_;
+  Timeline* timeline_ = nullptr;
+  std::vector<OpenSpan> open_;
+  std::uint64_t next_id_ = 1;
 };
 
 }  // namespace blockhead

@@ -9,8 +9,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/core/shard_safety.h"
-
 namespace blockhead {
 
 class Bitmap {
@@ -98,9 +96,9 @@ class Bitmap {
   std::size_t MemoryBytes() const { return words_.size() * sizeof(std::uint64_t); }
 
  private:
-  std::size_t size_ BLOCKHEAD_SHARD_LOCAL(owner) = 0;
-  std::vector<std::uint64_t> words_ BLOCKHEAD_SHARD_LOCAL(owner);
-  std::size_t set_count_ BLOCKHEAD_SHARD_LOCAL(owner) = 0;
+  std::size_t size_ = 0;
+  std::vector<std::uint64_t> words_;
+  std::size_t set_count_ = 0;
 };
 
 }  // namespace blockhead

@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/core/shard_safety.h"
 #include "src/util/types.h"
 
 namespace blockhead {
@@ -52,8 +51,8 @@ class EventQueue {
     }
   };
 
-  std::priority_queue<Event, std::vector<Event>, Later> heap_ BLOCKHEAD_SHARD_SHARED;
-  std::uint64_t next_seq_ BLOCKHEAD_SHARD_SHARED = 0;
+  std::priority_queue<Event, std::vector<Event>, Later> heap_;
+  std::uint64_t next_seq_ = 0;
 };
 
 }  // namespace blockhead

@@ -11,8 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "src/core/shard_safety.h"
-
 namespace blockhead {
 
 class Histogram {
@@ -62,11 +60,11 @@ class Histogram {
   static int BucketIndex(std::uint64_t value);
   static std::uint64_t BucketUpperBound(int index);
 
-  std::vector<std::uint64_t> buckets_ BLOCKHEAD_SHARD_LOCAL(owner);
-  std::uint64_t count_ BLOCKHEAD_SHARD_LOCAL(owner) = 0;
-  std::uint64_t sum_ BLOCKHEAD_SHARD_LOCAL(owner) = 0;
-  std::uint64_t min_ BLOCKHEAD_SHARD_LOCAL(owner) = ~0ULL;
-  std::uint64_t max_ BLOCKHEAD_SHARD_LOCAL(owner) = 0;
+  std::vector<std::uint64_t> buckets_;
+  std::uint64_t count_ = 0;
+  std::uint64_t sum_ = 0;
+  std::uint64_t min_ = ~0ULL;
+  std::uint64_t max_ = 0;
 };
 
 // Histogram over a rolling time window, for SLO evaluation over "the last W nanoseconds"
@@ -98,8 +96,8 @@ class RollingHistogram {
     Histogram hist;
   };
 
-  std::uint64_t bucket_ns_ BLOCKHEAD_SHARD_LOCAL(owner);
-  std::vector<Bucket> buckets_ BLOCKHEAD_SHARD_LOCAL(owner);
+  std::uint64_t bucket_ns_;
+  std::vector<Bucket> buckets_;
 };
 
 // Counter over the same rolling-window scheme (SLO burn-rate tallies).
@@ -121,8 +119,8 @@ class RollingCounter {
     std::uint64_t value = 0;
   };
 
-  std::uint64_t bucket_ns_ BLOCKHEAD_SHARD_LOCAL(owner);
-  std::vector<Bucket> buckets_ BLOCKHEAD_SHARD_LOCAL(owner);
+  std::uint64_t bucket_ns_;
+  std::vector<Bucket> buckets_;
 };
 
 }  // namespace blockhead

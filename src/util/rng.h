@@ -9,8 +9,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/core/shard_safety.h"
-
 namespace blockhead {
 
 // xoshiro256** PRNG. Fast, high quality, and trivially copyable (unlike std::mt19937 it is
@@ -38,7 +36,7 @@ class Rng {
   double NextExponential(double mean);
 
  private:
-  std::uint64_t state_[4] BLOCKHEAD_SHARD_LOCAL(owner);
+  std::uint64_t state_[4];
 };
 
 // Zipfian generator over [0, n) with parameter theta (0 < theta < 1 typical; theta→0 is
@@ -56,12 +54,12 @@ class ZipfGenerator {
  private:
   static double Zeta(std::uint64_t n, double theta);
 
-  std::uint64_t n_ BLOCKHEAD_SHARD_LOCAL(owner);
-  double theta_ BLOCKHEAD_SHARD_LOCAL(owner);
-  double alpha_ BLOCKHEAD_SHARD_LOCAL(owner);
-  double zetan_ BLOCKHEAD_SHARD_LOCAL(owner);
-  double eta_ BLOCKHEAD_SHARD_LOCAL(owner);
-  Rng rng_ BLOCKHEAD_SHARD_LOCAL(owner);
+  std::uint64_t n_;
+  double theta_;
+  double alpha_;
+  double zetan_;
+  double eta_;
+  Rng rng_;
 };
 
 // Returns a pseudo-random permutation of [0, n) for scrambled-zipf style key spaces.

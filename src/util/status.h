@@ -13,8 +13,6 @@
 #include <string_view>
 #include <utility>
 
-#include "src/core/shard_safety.h"
-
 namespace blockhead {
 
 // Error taxonomy. The zone-specific codes correspond to NVMe ZNS command status values; the
@@ -68,8 +66,8 @@ class Status {
   friend bool operator==(const Status& a, const Status& b) { return a.code_ == b.code_; }
 
  private:
-  ErrorCode code_ BLOCKHEAD_SHARD_LOCAL(owner);
-  std::string message_ BLOCKHEAD_SHARD_LOCAL(owner);
+  ErrorCode code_;
+  std::string message_;
 };
 
 // A value-or-status result. Accessing the value of a failed result asserts in debug builds and
@@ -108,8 +106,8 @@ class Result {
   const T* operator->() const { return &value(); }
 
  private:
-  std::optional<T> value_ BLOCKHEAD_SHARD_LOCAL(owner);
-  Status status_ BLOCKHEAD_SHARD_LOCAL(owner);
+  std::optional<T> value_;
+  Status status_;
 };
 
 // Evaluates `expr` (a Status-returning expression) and early-returns on failure.

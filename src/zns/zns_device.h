@@ -24,7 +24,6 @@
 #include <span>
 #include <vector>
 
-#include "src/core/shard_safety.h"
 #include "src/core/strong_id.h"
 #include "src/flash/flash_device.h"
 #include "src/ftl/conventional_ssd.h"  // For DramUsage.
@@ -201,25 +200,25 @@ class ZnsDevice {
   SimTime BufferAck(Zone& z, std::uint32_t pages, SimTime data_in, SimTime program_done);
   void PublishMetrics();
 
-  FlashDevice flash_ BLOCKHEAD_SHARD_SHARED;
-  ZnsConfig config_ BLOCKHEAD_SHARD_SHARED;
-  std::vector<Zone> zones_ BLOCKHEAD_SHARD_LOCAL(zone);
-  std::uint64_t zone_size_pages_ BLOCKHEAD_SHARD_SHARED = 0;
-  std::uint32_t active_count_ BLOCKHEAD_SHARD_SHARED = 0;
-  std::uint32_t open_count_ BLOCKHEAD_SHARD_SHARED = 0;
-  ZnsStats stats_ BLOCKHEAD_SHARD_SHARED;
+  FlashDevice flash_;
+  ZnsConfig config_;
+  std::vector<Zone> zones_;
+  std::uint64_t zone_size_pages_ = 0;
+  std::uint32_t active_count_ = 0;
+  std::uint32_t open_count_ = 0;
+  ZnsStats stats_;
 
-  Telemetry* telemetry_ BLOCKHEAD_SIM_GLOBAL = nullptr;
-  std::string metric_prefix_ BLOCKHEAD_SIM_GLOBAL;
-  Histogram* append_latency_ BLOCKHEAD_SIM_GLOBAL = nullptr;
-  Histogram* write_latency_ BLOCKHEAD_SIM_GLOBAL = nullptr;
-  Histogram* read_latency_ BLOCKHEAD_SIM_GLOBAL = nullptr;
-  int sampler_group_ BLOCKHEAD_SIM_GLOBAL = -1;  // Timeline group for zone-resource gauges.
+  Telemetry* telemetry_ = nullptr;
+  std::string metric_prefix_;
+  Histogram* append_latency_ = nullptr;
+  Histogram* write_latency_ = nullptr;
+  Histogram* read_latency_ = nullptr;
+  int sampler_group_ = -1;  // Timeline group for zone-resource gauges.
 
   // State-digest audit of the zone table ("<prefix>.zones"): one entry per zone hashing
   // (id, state, write pointer, programmed prefix, capacity). Every transition and every
   // write-pointer advance folds the zone's old entry out and the new one in.
-  SubsystemDigest* audit_zones_ BLOCKHEAD_SIM_GLOBAL = nullptr;
+  SubsystemDigest* audit_zones_ = nullptr;
   bool ZoneAuditArmed() const { return audit_zones_ != nullptr && audit_zones_->armed(); }
   std::uint64_t ZoneEntryHash(const Zone& z) const {
     return AuditHashWords({static_cast<std::uint64_t>(&z - zones_.data()),

@@ -5,11 +5,6 @@
 # with no case defined must compile cleanly (otherwise a broken baseline would make every
 # "expected failure" pass vacuously).
 #
-# A second, clang-only section does the same for the shard-safety capability annotations
-# (src/core/shard_safety.h): each TS_EXPECT_FAIL_n case in
-# tests/shard_safety_compile_fail.cc must be rejected under -Werror=thread-safety. GCC has
-# no thread-safety analysis, so that section announces a loud SKIPPED line elsewhere.
-#
 #   usage: compile_fail_test.sh <source-root> [compiler]
 
 set -u
@@ -46,43 +41,3 @@ if [[ "$failures" -gt 0 ]]; then
   exit 1
 fi
 echo "compile_fail_test: all $ncases address mixups rejected"
-
-# --- shard-safety capability annotations (clang-only: GCC has no -Wthread-safety) ---
-ts_src="$root/tests/shard_safety_compile_fail.cc"
-ts_ncases=3
-
-if ! "$cxx" --version 2>/dev/null | grep -qi clang; then
-  echo "SKIPPED: compiler is not clang — thread-safety analysis cases need clang" \
-       "(annotations are no-ops under GCC)"
-  exit 0
-fi
-
-ts_compile() {
-  "$cxx" -std=c++20 -Wthread-safety -Werror=thread-safety -fsyntax-only -I "$root" \
-    "$@" "$ts_src" 2>/dev/null
-}
-
-if ! ts_compile; then
-  echo "FAIL: thread-safety baseline (no TS_EXPECT_FAIL_n defined) does not compile" >&2
-  "$cxx" -std=c++20 -Wthread-safety -Werror=thread-safety -fsyntax-only -I "$root" \
-    "$ts_src" >&2 || true
-  exit 1
-fi
-echo "ok: thread-safety baseline compiles clean under -Werror=thread-safety"
-
-ts_failures=0
-for i in $(seq 1 "$ts_ncases"); do
-  if ts_compile "-DTS_EXPECT_FAIL_$i"; then
-    echo "FAIL: case $i (TS_EXPECT_FAIL_$i) compiled but must be rejected" >&2
-    ts_failures=$((ts_failures + 1))
-  else
-    echo "ok: thread-safety case $i rejected by the compiler"
-  fi
-done
-
-if [[ "$ts_failures" -gt 0 ]]; then
-  echo "compile_fail_test: $ts_failures of $ts_ncases annotation violations were NOT" \
-       "rejected" >&2
-  exit 1
-fi
-echo "compile_fail_test: all $ts_ncases annotation violations rejected"

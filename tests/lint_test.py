@@ -267,6 +267,58 @@ class RequestContextRuleTest(unittest.TestCase):
                         os.path.join("tests", "x.cc"), text), [])
 
 
+class MutableStaticRuleTest(unittest.TestCase):
+    CC = os.path.join("src", "sched", "x.cc")
+
+    def test_flags_each_mutable_form(self):
+        forms = ["std::uint64_t g_ops = 0;",             # namespace scope
+                 "static std::uint64_t g_seeded = 0;",   # namespace-scope static
+                 "Telemetry* g_sink = nullptr;",
+                 "std::map<std::string, int> g_names;",
+                 "int Histogram::instances_ = 0;",       # out-of-line class static
+                 "  static std::string scratch;",        # function-local static
+                 "  static int calls = 0;",
+                 "  static inline int instances_ = 0;",  # static class data member
+                 "  thread_local Rng rng{1};",
+                 "thread_local int depth;"]
+        for form in forms:
+            out = findings_of(lint.check_mutable_static, self.CC, form + "\n")
+            self.assertEqual(len(out), 1, form)
+            self.assertEqual(out[0][2], "mutable-static")
+
+    def test_static_member_functions_pass(self):
+        text = ("  static std::uint64_t MemtableEntryHash(std::string_view key,\n"
+                "                                         std::uint64_t seq);\n"
+                "  static std::uint64_t FileEntryHash(const FileMeta& file) {\n"
+                "  static Status Ok() { return Status(); }\n"
+                "static void Helper(int x);\n")
+        self.assertEqual(findings_of(lint.check_mutable_static, self.CC, text), [])
+
+    def test_const_asserts_casts_and_non_declarations_pass(self):
+        text = ("constexpr int kLimit = 4;\n"
+                "const char* const kName = \"x\";\n"
+                "  static constexpr std::uint32_t kNoZone = ~0U;\n"
+                "  static const std::string kEmpty;\n"
+                "  static_assert(sizeof(Rep) == 8);\n"
+                "  return static_cast<int>(x);\n"
+                "namespace blockhead {\n"
+                "using Lpn = std::uint64_t;\n"
+                "class FlashDevice;\n"
+                "  int member_ = 0;\n"
+                "Status Foo(int x);\n")
+        self.assertEqual(findings_of(lint.check_mutable_static, self.CC, text), [])
+
+    def test_comment_and_string_mentions_pass(self):
+        text = ("// static int g_hits = 0; would be shared by every stack\n"
+                "  Log(\"static int hits = 0;\");\n")
+        self.assertEqual(findings_of(lint.check_mutable_static, self.CC, text), [])
+
+    def test_files_outside_src_exempt(self):
+        text = "static int g_hits = 0;\n"
+        self.assertEqual(
+            findings_of(lint.check_mutable_static, os.path.join("bench", "x.cc"), text), [])
+
+
 class DigestOrderRuleTest(unittest.TestCase):
     AUDIT_CC = os.path.join("src", "telemetry", "audit", "state_digest.cc")
 

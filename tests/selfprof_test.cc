@@ -1,7 +1,7 @@
 // Tests for the host-side self-profiler (src/telemetry/selfprof/): scope nesting and the
-// exclusive-time attribution identity, sharding-stats determinism, the dual-clock Chrome
-// trace schema, and the bench harness helpers that ride on the profiler (median publication,
-// wall-clock-row stripping for the repeat determinism assert).
+// exclusive-time attribution identity, the dual-clock Chrome trace schema, and the bench
+// harness helpers that ride on the profiler (median publication, wall-clock-row stripping for
+// the repeat determinism assert).
 
 #include <cstdint>
 #include <string>
@@ -12,7 +12,6 @@
 #include "bench/bench_main.h"
 #include "src/telemetry/metric_registry.h"
 #include "src/telemetry/selfprof/self_profiler.h"
-#include "src/telemetry/selfprof/sharding_stats.h"
 #include "src/telemetry/telemetry.h"
 #include "src/telemetry/timeline.h"
 
@@ -196,37 +195,6 @@ TEST(SelfProfilerTest, PublishToEmitsHostPrefixedBreakdown) {
   EXPECT_GT(registry.GetCounter("selfprof.host.flash.write.count")->value(), 0u);
   EXPECT_GT(registry.GetCounter("selfprof.host.flash.self_ns")->value(), 0u);
   EXPECT_GT(registry.GetGauge("selfprof.host.ns_per_simulated_op")->value(), 0.0);
-}
-
-TEST(ShardingStatsTest, OccupancyAndCrossChannelDepsAreDeterministic) {
-  ShardingStats stats;
-  stats.Init(2, 4);
-  // Channel sequence 0,1,0,0: two consecutive-op channel switches, one stay.
-  stats.RecordOp(0, 0);
-  stats.RecordOp(1, 2);
-  stats.RecordOp(0, 1);
-  stats.RecordOp(0, 1);
-  EXPECT_DOUBLE_EQ(stats.CrossDepFraction(), 2.0 / 3.0);
-  // Channel 0 carried 3 of 4 events: the serial-channel bound on parallel speedup is 4/3.
-  EXPECT_DOUBLE_EQ(stats.ParallelSpeedupBound(), 4.0 / 3.0);
-
-  // Publishing is idempotent and the histograms rebuild identically each time: the snapshots
-  // must be byte-identical (the property that lets sharding rows live in BENCH_baseline.json).
-  MetricRegistry registry;
-  stats.PublishTo(registry, "dev");
-  auto render = [&registry] {
-    std::string out;
-    JsonLinesSink().Render("t", registry.Snapshot(), &out);
-    return out;
-  };
-  const std::string first = render();
-  stats.PublishTo(registry, "dev");
-  EXPECT_EQ(render(), first);
-  EXPECT_EQ(registry.GetCounter("dev.sharding.events")->value(), 4u);
-  EXPECT_EQ(registry.GetCounter("dev.sharding.cross_channel_deps")->value(), 2u);
-  EXPECT_EQ(registry.GetCounter("dev.sharding.same_channel_deps")->value(), 1u);
-  EXPECT_EQ(registry.GetHistogram("dev.sharding.channel_occupancy")->count(), 2u);
-  EXPECT_EQ(registry.GetHistogram("dev.sharding.plane_occupancy")->count(), 4u);
 }
 
 TEST(DualClockTraceTest, HostSlicesExportAsFourthProcess) {

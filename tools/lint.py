@@ -40,6 +40,10 @@ Enforces invariants that the compiler cannot (or that we want flagged before it 
                  in src/util/rng.h so runs stay reproducible from a single seed: no rand()
                  or srand(), no std::random_device (nondeterministic hardware entropy), and
                  no raw std::mt19937/std::mt19937_64 construction outside src/util/rng.{h,cc}.
+  mutable-static No mutable namespace-scope variables, function-local or class `static` data, or
+                 `thread_local` in src/: simulation state lives in objects, so independent
+                 stacks (e.g. bench cells run in parallel) share nothing. `const`/`constexpr`
+                 data, static functions, static_assert and static_cast are fine.
   self-contained Every header in src/ must compile on its own (include-what-you-use probe:
                  a TU containing only `#include "<header>"`).
   format         No tabs, no trailing whitespace, lines <= 100 columns, final newline.
@@ -124,6 +128,15 @@ RNG_PATTERNS = [
     (re.compile(r"\bstd::mt19937(_64)?\b"),
      "raw std::mt19937 seeding bypasses run-seed plumbing"),
 ]
+
+# Mutable statics: a declaration (type, name, then `=`, `;`, `{` or `[`) that is either at
+# column 0 (namespace scope, in this Google-style tree) or carries `static`/`thread_local`.
+# A name followed by `(` is a function, so static member functions never match.
+MUTABLE_STATIC_RE = re.compile(
+    r"^(?P<indent>\s*)(?P<specs>(?:(?:static|thread_local|inline|extern)\s+)*)"
+    r"(?P<type>[\w:<>,*&\s]*?[\w>*&])\s*\b(?P<name>(?:\w+::)*\w+)\s*[=;{\[]")
+NOT_A_VARIABLE = {"namespace", "class", "struct", "union", "enum", "using", "typedef",
+                  "template", "friend", "return", "case", "goto", "delete", "throw"}
 
 REQUEST_CONTEXT_ALLOWLIST_DIR = os.path.join("src", "telemetry", "reqpath") + os.sep
 REQUEST_CONTEXT_BYVALUE_RE = re.compile(r"\bRequestContext\s+\w+\s*[,)]")
@@ -243,6 +256,23 @@ def check_rng_discipline(path, lines):
                        f"{why}; use the run-seeded Rng/ZipfGenerator (src/util/rng.h)")
 
 
+def check_mutable_static(path, lines):
+    if not path.startswith("src" + os.sep):
+        return
+    for i, line in enumerate(lines, 1):
+        m = MUTABLE_STATIC_RE.match(line)
+        if not m or m.group("type").split()[0] in NOT_A_VARIABLE:
+            continue
+        words = set(re.findall(r"\w+", m.group("specs") + m.group("type")))
+        if words & {"const", "constexpr"}:
+            continue
+        if m.group("indent") and not words & {"static", "thread_local"}:
+            continue  # An ordinary member or local.
+        yield (path, i, "mutable-static",
+               f"mutable static `{m.group('name')}` is state shared by every stack in the "
+               "process; make it const/constexpr or move it into an object")
+
+
 def check_request_context(path, lines):
     if not path.startswith("src" + os.sep):
         return
@@ -334,6 +364,7 @@ def lint_file(root, rel_path):
         findings.extend(check_digest_order(rel_path, lines))
         findings.extend(check_rng_discipline(rel_path, lines))
         findings.extend(check_request_context(rel_path, lines))
+        findings.extend(check_mutable_static(rel_path, lines))
     return findings
 
 
