@@ -241,16 +241,15 @@ inline int FinishBench(const BenchOptions& opts, const char* bench_name,
 
 // Full-bundle variant: registry sinks plus the timeline exports (--trace / --timeseries) and
 // the provenance ledger (--ledger). Teardown finalization happens here, before the snapshot:
-// spans still open (a bench that returned early) are drained into their span.<name>.abandoned
-// counters, and the provenance provider publishes the ledger's final per-cause counts — so
-// --json/--ledger output is complete even on an early exit.
+// the provenance provider publishes the ledger's final per-cause counts, so --json/--ledger
+// output is complete even on an early exit. No span can still be open: spans are
+// function-local handles inside the layers' entry points.
 //
 // Under RunBenchMain this is also the per-repeat boundary: every repeat's SimTime-domain dump
 // is compared byte for byte against repeat 0 (exit 3 on divergence — a wall-clock leak into
 // simulation state), a --perf sample is recorded, and everything file-shaped happens on the
 // last repeat only, with median gauges published first.
 inline int FinishBench(const BenchOptions& opts, const char* bench_name, Telemetry& telemetry) {
-  telemetry.tracer.AbandonOpen();
   BenchRepeatState* rs = opts.repeat_state;
   const bool last = rs == nullptr || rs->index + 1 >= rs->total;
   if (rs != nullptr && rs->total > 1) {

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 verify plus a sanitizer pass.
 #
-#   ./ci.sh            # tier-1 (default build + full test suite + trace/audit smokes,
+#   ./ci.sh            # tier-1 (default build + full test suite + perfbench tests +
+#                      # trace/audit smokes,
 #                      # including the golden-digest fast subset and a negative test that a
 #                      # perturbed GC decision is caught and bisected), then ASan/UBSan tests
 #                      # (timeline determinism included)
@@ -78,6 +79,9 @@ if [[ "$run_tier1" == 1 ]]; then
   cmake -B build -S .
   cmake --build build -j "$jobs"
   (cd build && ctest --output-on-failure -j "$jobs")
+
+  echo "=== perfbench: pinned seed-1 fingerprints, untraced = traced = detached ==="
+  python3 perfbench/test_perfbench.py
 
   echo "=== smoke: timeline trace + time-series export ==="
   smoke_dir=$(mktemp -d)

@@ -117,6 +117,27 @@ SimTime FlashDevice::MaintenanceOverlap(std::uint32_t plane_index, SimTime issue
   return capped > issue ? capped - issue : 0;
 }
 
+void FlashDevice::ChargeHostSplit(std::uint32_t plane_index, const HostSplit& split) {
+  const bool in_request = reqpath_->InRequest();
+  std::array<SimTime, kPathSegmentCount> sums{};
+  for (const HostInterval& iv : split) {
+    sums[static_cast<int>(iv.segment)] += iv.end - iv.begin;
+    if (!in_request) {
+      continue;
+    }
+    if (iv.segment != PathSegment::kGcStall) {
+      reqpath_->ChargeInterval(iv.begin, iv.end, iv.segment);
+    } else if (iv.end > iv.begin) {
+      const MaintMark& mark = plane_maintenance_busy_[plane_index];
+      reqpath_->ChargeInterference(iv.begin, iv.end, mark.cause, mark.layer,
+                                   plane_tracks_[plane_index]);
+    }
+  }
+  telemetry_->tracer.Charge(sums[static_cast<int>(PathSegment::kDeviceQueue)],
+                            sums[static_cast<int>(PathSegment::kGcStall)],
+                            sums[static_cast<int>(PathSegment::kFlashBusy)]);
+}
+
 Status FlashDevice::CheckAddr(const PhysAddr& addr) const {
   const FlashGeometry& g = config_.geometry;
   if (addr.channel.value() >= g.channels || addr.plane.value() >= g.planes_per_channel ||
@@ -161,27 +182,14 @@ Result<SimTime> FlashDevice::ReadPage(const PhysAddr& addr, SimTime issue,
     stats_.host_pages_read++;
     stats_.host_bus_bytes += g.page_size;
     if (telemetry_ != nullptr) {
-      const SimTime gc_wait = MaintenanceOverlap(plane_index, issue, read_start);
-      SpanComponents c;
-      c.gc_ns = gc_wait;
-      c.queue_ns = (read_start - issue) - gc_wait + (xfer_start - read_done);
-      c.flash_ns = config_.timing.page_read + config_.timing.channel_xfer;
-      c.flash_ops = 1;
-      telemetry_->tracer.Charge(c);
+      // GC stall behind maintenance, plane wait, cell read, channel wait, transfer out.
+      const SimTime gc_done = issue + MaintenanceOverlap(plane_index, issue, read_start);
+      ChargeHostSplit(plane_index, {{{issue, gc_done, PathSegment::kGcStall},
+                                     {gc_done, read_start, PathSegment::kDeviceQueue},
+                                     {read_start, read_done, PathSegment::kFlashBusy},
+                                     {read_done, xfer_start, PathSegment::kDeviceQueue},
+                                     {xfer_start, done, PathSegment::kFlashBusy}}});
       read_latency_->Record(done - issue);
-      if (reqpath_->InRequest()) {
-        // Wall-to-wall decomposition of [issue, done): GC stall behind maintenance, plane
-        // wait, cell read, channel wait, transfer out. Sums to done - issue exactly.
-        const MaintMark& mark = plane_maintenance_busy_[plane_index];
-        if (gc_wait > 0) {
-          reqpath_->ChargeInterference(issue, issue + gc_wait, mark.cause, mark.layer,
-                                       plane_tracks_[plane_index]);
-        }
-        reqpath_->ChargeInterval(issue + gc_wait, read_start, PathSegment::kDeviceQueue);
-        reqpath_->ChargeInterval(read_start, read_done, PathSegment::kFlashBusy);
-        reqpath_->ChargeInterval(read_done, xfer_start, PathSegment::kDeviceQueue);
-        reqpath_->ChargeInterval(xfer_start, done, PathSegment::kFlashBusy);
-      }
       if (telemetry_->timeline.enabled()) {
         plane_busy_series_[plane_index].Book(read_start, read_done);
         channel_busy_series_[addr.channel.value()].Book(xfer_start, done);
@@ -256,29 +264,16 @@ Result<SimTime> FlashDevice::ProgramPage(const PhysAddr& addr, SimTime issue,
   plane = done;
   if (op_class == OpClass::kHost) {
     if (telemetry_ != nullptr) {
-      const SimTime gc_wait = MaintenanceOverlap(plane_index, program_can_start, program_start);
-      SpanComponents c;
-      c.gc_ns = gc_wait;
-      c.queue_ns = bus_wait + (program_start - program_can_start) - gc_wait;
-      c.flash_ns = config_.timing.channel_xfer + config_.timing.page_program;
-      c.flash_ops = 1;
-      telemetry_->tracer.Charge(c);
+      // Bus wait, transfer in, GC stall behind maintenance, plane wait, cell program.
+      const SimTime xfer_start = issue + bus_wait;
+      const SimTime gc_done =
+          program_can_start + MaintenanceOverlap(plane_index, program_can_start, program_start);
+      ChargeHostSplit(plane_index, {{{issue, xfer_start, PathSegment::kDeviceQueue},
+                                     {xfer_start, program_can_start, PathSegment::kFlashBusy},
+                                     {program_can_start, gc_done, PathSegment::kGcStall},
+                                     {gc_done, program_start, PathSegment::kDeviceQueue},
+                                     {program_start, done, PathSegment::kFlashBusy}}});
       program_latency_->Record(done - issue);
-      if (reqpath_->InRequest()) {
-        // Wall-to-wall decomposition of [issue, done): bus wait, transfer in, GC stall
-        // behind maintenance, plane wait, cell program. Sums to done - issue exactly.
-        const MaintMark& mark = plane_maintenance_busy_[plane_index];
-        const SimTime xfer_start = issue + bus_wait;
-        reqpath_->ChargeInterval(issue, xfer_start, PathSegment::kDeviceQueue);
-        reqpath_->ChargeInterval(xfer_start, program_can_start, PathSegment::kFlashBusy);
-        if (gc_wait > 0) {
-          reqpath_->ChargeInterference(program_can_start, program_can_start + gc_wait,
-                                       mark.cause, mark.layer, plane_tracks_[plane_index]);
-        }
-        reqpath_->ChargeInterval(program_can_start + gc_wait, program_start,
-                                 PathSegment::kDeviceQueue);
-        reqpath_->ChargeInterval(program_start, done, PathSegment::kFlashBusy);
-      }
       if (telemetry_->timeline.enabled()) {
         channel_busy_series_[addr.channel.value()].Book(program_can_start -
                                                     config_.timing.channel_xfer,

@@ -13,6 +13,7 @@
 #ifndef BLOCKHEAD_SRC_FLASH_FLASH_DEVICE_H_
 #define BLOCKHEAD_SRC_FLASH_FLASH_DEVICE_H_
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -155,6 +156,19 @@ class FlashDevice {
   void NoteMaintenance(std::uint32_t plane_index, SimTime done);
   // Portion of a host op's wait [issue, start) spent behind maintenance work on the plane.
   SimTime MaintenanceOverlap(std::uint32_t plane_index, SimTime issue, SimTime start) const;
+  // One interval of a host op's wall-to-wall split of [issue, done): a device-queue wait, a
+  // GC stall behind maintenance, or the op's own flash busy time.
+  struct HostInterval {
+    SimTime begin;
+    SimTime end;
+    PathSegment segment;  // kDeviceQueue, kGcStall or kFlashBusy.
+  };
+  using HostSplit = std::array<HostInterval, 5>;
+  // Charges a host op's split, given in time order and tiling [issue, done) exactly:
+  // per-segment sums to the tracer's open spans and, inside a request, each interval to the
+  // request-path ledger (the GC stall as interference from the plane's last maintenance op,
+  // and only when non-empty).
+  void ChargeHostSplit(std::uint32_t plane_index, const HostSplit& split);
   void PublishMetrics();
 
   FlashConfig config_;

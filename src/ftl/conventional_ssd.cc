@@ -451,9 +451,13 @@ void ConventionalSsd::AttachTelemetry(Telemetry* telemetry, std::string_view pre
     flash_.AttachTelemetry(nullptr);
     audit_l2p_ = nullptr;
     sampler_group_ = -1;
+    write_span_ = nullptr;
+    read_span_ = nullptr;
     return;
   }
   metric_prefix_ = std::string(prefix);
+  write_span_ = telemetry_->tracer.Intern(metric_prefix_ + ".ftl.write");
+  read_span_ = telemetry_->tracer.Intern(metric_prefix_ + ".ftl.read");
   audit_l2p_ = telemetry_->audit.Register(metric_prefix_ + ".ftl.l2p");
   flash_.AttachTelemetry(telemetry_, metric_prefix_ + ".flash");
   telemetry_->registry.AddProvider(metric_prefix_ + ".ftl", [this] { PublishMetrics(); });
@@ -501,18 +505,12 @@ Result<SimTime> ConventionalSsd::WriteBlocksStream(Lba lba, std::uint32_t count,
     return ErrorCode::kInvalidArgument;
   }
 
-  Tracer::Span span;
-  if (telemetry_ != nullptr) {
-    span = telemetry_->tracer.Start(metric_prefix_ + ".ftl.write", issue);
-  }
+  Tracer::Span span = Tracer::Start(write_span_, issue);
   // Foreground host op: own the request-path measurement unless internal work (a CauseScope)
   // or an outer layer already does. Foreground GC needs no explicit charge here — it runs as
   // internal flash ops whose maintenance marks the host programs below bill as GC stall.
-  RequestPathLedger::RequestScope req_scope(
-      telemetry_ != nullptr && telemetry_->provenance.open_scopes() == 0
-          ? &telemetry_->reqpath
-          : nullptr,
-      RequestContext{stream, ReqOp::kWrite}, issue);
+  RequestPathLedger::RequestScope req_scope(ForegroundReqPathOf(telemetry_),
+                                            RequestContext{stream, ReqOp::kWrite}, issue);
   SimTime ack = issue;
   for (std::uint32_t i = 0; i < count; ++i) {
     MaybeForegroundGc(issue);
@@ -548,15 +546,9 @@ Result<SimTime> ConventionalSsd::ReadBlocks(Lba lba, std::uint32_t count, SimTim
     return ErrorCode::kInvalidArgument;
   }
 
-  Tracer::Span span;
-  if (telemetry_ != nullptr) {
-    span = telemetry_->tracer.Start(metric_prefix_ + ".ftl.read", issue);
-  }
-  RequestPathLedger::RequestScope req_scope(
-      telemetry_ != nullptr && telemetry_->provenance.open_scopes() == 0
-          ? &telemetry_->reqpath
-          : nullptr,
-      RequestContext{0, ReqOp::kRead}, issue);
+  Tracer::Span span = Tracer::Start(read_span_, issue);
+  RequestPathLedger::RequestScope req_scope(ForegroundReqPathOf(telemetry_),
+                                            RequestContext{0, ReqOp::kRead}, issue);
   SimTime done_all = issue;
   for (std::uint32_t i = 0; i < count; ++i) {
     std::span<std::uint8_t> page_out;
@@ -593,11 +585,8 @@ Result<SimTime> ConventionalSsd::TrimBlocks(Lba lba, std::uint32_t count, SimTim
   if (lba.value() + count > logical_pages_) {
     return ErrorCode::kOutOfRange;
   }
-  RequestPathLedger::RequestScope req_scope(
-      telemetry_ != nullptr && telemetry_->provenance.open_scopes() == 0
-          ? &telemetry_->reqpath
-          : nullptr,
-      RequestContext{0, ReqOp::kTrim}, issue);
+  RequestPathLedger::RequestScope req_scope(ForegroundReqPathOf(telemetry_),
+                                            RequestContext{0, ReqOp::kTrim}, issue);
   for (std::uint32_t i = 0; i < count; ++i) {
     if (l2p_[lba.value() + i] != kUnmapped) {
       InvalidatePage(lba.value() + i, issue);

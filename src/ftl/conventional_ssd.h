@@ -189,6 +189,9 @@ class ConventionalSsd final : public BlockDevice {
   Telemetry* telemetry_ = nullptr;
   std::string metric_prefix_;
   int sampler_group_ = -1;  // Timeline group for free-pool / WA gauges.
+  // Span kinds "<prefix>.ftl.write" / "<prefix>.ftl.read", interned at attach.
+  Tracer::Kind* write_span_ = nullptr;
+  Tracer::Kind* read_span_ = nullptr;
 
   // State-digest audit of the mapping table ("<prefix>.ftl.l2p"): one entry per mapped
   // logical page hashing (lpn, ppn). p2l_ is derived state and is not digested separately.

@@ -295,17 +295,11 @@ Result<SimTime> HostFtlBlockDevice::WriteBlocks(Lba lba, std::uint32_t count, Si
   if (!data.empty() && data.size() != static_cast<std::size_t>(count) * page_size) {
     return ErrorCode::kInvalidArgument;
   }
-  Tracer::Span span;
-  if (telemetry_ != nullptr) {
-    span = telemetry_->tracer.Start(metric_prefix_ + ".write", issue);
-  }
+  Tracer::Span span = Tracer::Start(write_span_, issue);
   // Foreground host op: own the request-path measurement unless internal work (a CauseScope)
   // or an outer layer already does.
-  RequestPathLedger::RequestScope req_scope(
-      telemetry_ != nullptr && telemetry_->provenance.open_scopes() == 0
-          ? &telemetry_->reqpath
-          : nullptr,
-      RequestContext{0, ReqOp::kWrite}, issue);
+  RequestPathLedger::RequestScope req_scope(ForegroundReqPathOf(telemetry_),
+                                            RequestContext{0, ReqOp::kWrite}, issue);
   SimTime ack = issue;
   for (std::uint32_t i = 0; i < count; ++i) {
     // Mandatory reclamation when space is critical; the triggering write absorbs the delay,
@@ -359,15 +353,9 @@ Result<SimTime> HostFtlBlockDevice::ReadBlocks(Lba lba, std::uint32_t count, Sim
   if (!out.empty() && out.size() != static_cast<std::size_t>(count) * page_size) {
     return ErrorCode::kInvalidArgument;
   }
-  Tracer::Span span;
-  if (telemetry_ != nullptr) {
-    span = telemetry_->tracer.Start(metric_prefix_ + ".read", issue);
-  }
-  RequestPathLedger::RequestScope req_scope(
-      telemetry_ != nullptr && telemetry_->provenance.open_scopes() == 0
-          ? &telemetry_->reqpath
-          : nullptr,
-      RequestContext{0, ReqOp::kRead}, issue);
+  Tracer::Span span = Tracer::Start(read_span_, issue);
+  RequestPathLedger::RequestScope req_scope(ForegroundReqPathOf(telemetry_),
+                                            RequestContext{0, ReqOp::kRead}, issue);
   SimTime done_all = issue;
   for (std::uint32_t i = 0; i < count; ++i) {
     std::span<std::uint8_t> page_out;
@@ -402,11 +390,8 @@ Result<SimTime> HostFtlBlockDevice::TrimBlocks(Lba lba, std::uint32_t count, Sim
   if (lba.value() + count > logical_pages_) {
     return ErrorCode::kOutOfRange;
   }
-  RequestPathLedger::RequestScope req_scope(
-      telemetry_ != nullptr && telemetry_->provenance.open_scopes() == 0
-          ? &telemetry_->reqpath
-          : nullptr,
-      RequestContext{0, ReqOp::kTrim}, issue);
+  RequestPathLedger::RequestScope req_scope(ForegroundReqPathOf(telemetry_),
+                                            RequestContext{0, ReqOp::kTrim}, issue);
   for (std::uint32_t i = 0; i < count; ++i) {
     if (l2p_[lba.value() + i] != kUnmapped) {
       InvalidatePage(lba.value() + i, issue);
@@ -432,8 +417,12 @@ void HostFtlBlockDevice::AttachTelemetry(Telemetry* telemetry, std::string_view 
     sampler_group_ = -1;
     provenance_ingress_ = nullptr;
     audit_l2p_ = nullptr;
+    write_span_ = nullptr;
+    read_span_ = nullptr;
     return;
   }
+  write_span_ = telemetry_->tracer.Intern(metric_prefix_ + ".write");
+  read_span_ = telemetry_->tracer.Intern(metric_prefix_ + ".read");
   telemetry_->registry.AddProvider(metric_prefix_, [this] { PublishMetrics(); });
   audit_l2p_ = telemetry_->audit.Register(metric_prefix_ + ".l2p");
   provenance_ingress_ = telemetry_->provenance.RegisterDomain(metric_prefix_);

@@ -147,6 +147,9 @@ class HostFtlBlockDevice final : public BlockDevice {
   Telemetry* telemetry_ = nullptr;
   std::string metric_prefix_;
   int sampler_group_ = -1;  // Timeline group for free-space / WA gauges.
+  // Span kinds "<prefix>.write" / "<prefix>.read", interned at attach.
+  Tracer::Kind* write_span_ = nullptr;
+  Tracer::Kind* read_span_ = nullptr;
   // Logical bytes accepted from the host, accumulated into the provenance ledger's domain
   // "<prefix>" as a link in the factorized-WA chain.
   Bytes* provenance_ingress_ = nullptr;

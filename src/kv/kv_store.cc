@@ -388,10 +388,7 @@ Result<SimTime> KvStore::ApplyWrite(std::string_view key, KvEntryType type,
 Result<SimTime> KvStore::Put(std::string_view key, std::string_view value, SimTime now) {
   SelfProfiler::Scope prof_scope(ProfilerOf(telemetry_), ProfSubsystem::kKv, ProfOp::kWrite);
   stats_.puts++;
-  Tracer::Span span;
-  if (telemetry_ != nullptr) {
-    span = telemetry_->tracer.Start(metric_prefix_ + ".put", now);
-  }
+  Tracer::Span span = Tracer::Start(put_span_, now);
   Result<SimTime> done = ApplyWrite(key, KvEntryType::kValue, value, now);
   if (done.ok()) {
     span.End(done.value());
@@ -708,10 +705,7 @@ Result<SimTime> KvStore::CompactLevel(std::uint32_t level, SimTime now) {
 Result<KvStore::GetResult> KvStore::Get(std::string_view key, SimTime now) {
   SelfProfiler::Scope prof_scope(ProfilerOf(telemetry_), ProfSubsystem::kKv, ProfOp::kRead);
   stats_.gets++;
-  Tracer::Span span;
-  if (telemetry_ != nullptr) {
-    span = telemetry_->tracer.Start(metric_prefix_ + ".get", now);
-  }
+  Tracer::Span span = Tracer::Start(get_span_, now);
   GetResult result;
   result.completion = now;
 
@@ -898,8 +892,12 @@ void KvStore::AttachTelemetry(Telemetry* telemetry, std::string_view prefix) {
     provenance_ingress_ = nullptr;
     audit_memtable_ = nullptr;
     audit_manifest_ = nullptr;
+    put_span_ = nullptr;
+    get_span_ = nullptr;
     return;
   }
+  put_span_ = telemetry_->tracer.Intern(metric_prefix_ + ".put");
+  get_span_ = telemetry_->tracer.Intern(metric_prefix_ + ".get");
   telemetry_->registry.AddProvider(metric_prefix_, [this] { PublishMetrics(); });
   provenance_ingress_ = telemetry_->provenance.RegisterDomain(metric_prefix_);
   audit_memtable_ = telemetry_->audit.Register(metric_prefix_ + ".memtable");

@@ -155,6 +155,9 @@ class KvStore {
   KvStats stats_;
   Telemetry* telemetry_ = nullptr;
   std::string metric_prefix_;
+  // Span kinds "<prefix>.put" / "<prefix>.get", interned at attach.
+  Tracer::Kind* put_span_ = nullptr;
+  Tracer::Kind* get_span_ = nullptr;
   // User bytes accepted by Put/Delete, accumulated into the provenance ledger's domain
   // "<prefix>" as the top link of the factorized-WA chain.
   Bytes* provenance_ingress_ = nullptr;

@@ -7,20 +7,6 @@
 
 namespace blockhead {
 
-namespace {
-
-// Queue ops are top-level host requests only when no internal CauseScope is open on the
-// shared bundle (the queue itself never runs under one; the guard mirrors the other layers).
-RequestPathLedger* ReqPathForHostOp(const ZnsDevice* device) {
-  Telemetry* t = device->telemetry();
-  if (t == nullptr || t->provenance.open_scopes() != 0) {
-    return nullptr;
-  }
-  return &t->reqpath;
-}
-
-}  // namespace
-
 PersistentQueue::PersistentQueue(ZnsDevice* device, const QueueConfig& config)
     : device_(device), config_(config) {
   assert(config_.record_pages > 0);
@@ -67,8 +53,8 @@ Status PersistentQueue::EnsureTailZone(SimTime now) {
 }
 
 Result<SimTime> PersistentQueue::Enqueue(std::span<const std::uint8_t> payload, SimTime now) {
-  RequestPathLedger::RequestScope req_scope(
-      ReqPathForHostOp(device_), RequestContext{config_.tenant, ReqOp::kWrite}, now);
+  RequestPathLedger::RequestScope req_scope(ForegroundReqPathOf(device_->telemetry()),
+                                            RequestContext{config_.tenant, ReqOp::kWrite}, now);
   BLOCKHEAD_RETURN_IF_ERROR(EnsureTailZone(now));
   SimTime done = 0;
   if (config_.use_append) {
@@ -97,8 +83,8 @@ Result<PersistentQueue::DequeueResult> PersistentQueue::Dequeue(std::span<std::u
   if (Depth() == 0) {
     return ErrorCode::kNotFound;
   }
-  RequestPathLedger::RequestScope req_scope(
-      ReqPathForHostOp(device_), RequestContext{config_.tenant, ReqOp::kRead}, now);
+  RequestPathLedger::RequestScope req_scope(ForegroundReqPathOf(device_->telemetry()),
+                                            RequestContext{config_.tenant, ReqOp::kRead}, now);
   // Drop fully-consumed head zones (never the live tail).
   while (!live_zones_.empty()) {
     const std::uint32_t head_zone = live_zones_.front();

@@ -3,7 +3,9 @@
 // attach both to the same bundle under distinct prefixes, e.g. "conv" and "zns").
 //
 // Layers accept a `Telemetry*` via AttachTelemetry(t, prefix) and must tolerate nullptr
-// (telemetry off — the default — costs nothing on the hot paths). The event log records typed
+// (telemetry off — the default — costs nothing on the hot paths). At attach a layer resolves
+// the names its hot paths use once: span kinds (Tracer::Intern), histogram pointers, ledger
+// and audit handles, so opening a span builds no string. The event log records typed
 // decisions (zone transitions, GC victims, scheduler windows) whenever telemetry is attached;
 // the timeline (span/maintenance slices + sampled utilization series) additionally requires
 // timeline.Enable(), which benches do for --trace/--timeseries.
@@ -26,7 +28,7 @@ struct Telemetry {
   MetricRegistry registry;
   EventLog events;
   Timeline timeline;
-  Tracer tracer{&registry};
+  Tracer tracer{&registry, &timeline};  // Completed spans become timeline slices.
   WriteProvenance provenance;
   // Host-side wall-clock self-profiler (disabled unless a bench enables it for --perf).
   // Deliberately has no registry provider: its selfprof.host.* metrics are wall-clock-domain
@@ -43,8 +45,7 @@ struct Telemetry {
   StateAudit audit;
 
   Telemetry() {
-    tracer.set_timeline(&timeline);    // Completed spans become timeline slices.
-    events.PublishTo(&registry);       // Event totals appear in every snapshot.
+    events.PublishTo(&registry);  // Event totals appear in every snapshot.
     // Per-cause program/erase counters and endurance projections join every snapshot.
     registry.AddProvider("provenance", [this] { provenance.PublishTo(&registry); });
     // Per-request segment totals, interference matrix, and SLO burn rates likewise.
@@ -68,6 +69,14 @@ inline SelfProfiler* ProfilerOf(Telemetry* telemetry) {
 // attached, else nullptr (charges become one branch at the call site).
 inline RequestPathLedger* ReqPathOf(Telemetry* telemetry) {
   return telemetry == nullptr ? nullptr : &telemetry->reqpath;
+}
+
+// Convenience for layers opening a RequestScope for a foreground host op: the ledger when
+// telemetry is attached and no internal CauseScope is open, else nullptr. Work done under a
+// CauseScope (GC copies, compaction, flushes) is never a host request of its own.
+inline RequestPathLedger* ForegroundReqPathOf(Telemetry* telemetry) {
+  return telemetry == nullptr || telemetry->provenance.open_scopes() != 0 ? nullptr
+                                                                           : &telemetry->reqpath;
 }
 
 // Convenience for layers registering state-digest subsystems at AttachTelemetry: the audit

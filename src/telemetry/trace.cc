@@ -2,76 +2,61 @@
 
 namespace blockhead {
 
-void Tracer::Span::End(SimTime end) {
-  if (tracer_ != nullptr) {
-    tracer_->Finish(id_, end);
-    tracer_ = nullptr;
+Tracer::Kind* Tracer::Intern(std::string_view name) {
+  auto [it, inserted] = kinds_.try_emplace(std::string(name));
+  if (inserted) {
+    it->second.tracer = this;
+    it->second.name = it->first;
   }
+  return &it->second;
+}
+
+Tracer::Span Tracer::Start(Kind* kind, SimTime begin) {
+  Span span;
+  if (kind != nullptr) {
+    span.kind_ = kind;
+    span.begin_ = begin;
+    span.start_ = kind->tracer->totals_;
+  }
+  return span;
+}
+
+void Tracer::Span::End(SimTime end) {
+  if (kind_ == nullptr) {
+    return;
+  }
+  Kind& k = *std::exchange(kind_, nullptr);
+  const Tracer& tracer = *k.tracer;
+  if (k.total == nullptr) {
+    const std::string prefix = "span." + std::string(k.name);
+    k.total = tracer.registry_->GetHistogram(prefix + ".total_ns");
+    k.queue = tracer.registry_->GetHistogram(prefix + ".queue_ns");
+    k.gc = tracer.registry_->GetHistogram(prefix + ".gc_ns");
+    k.flash = tracer.registry_->GetHistogram(prefix + ".flash_ns");
+    k.host = tracer.registry_->GetHistogram(prefix + ".host_ns");
+  }
+  const SimTime queue = tracer.totals_.queue_ns - start_.queue_ns;
+  const SimTime gc = tracer.totals_.gc_ns - start_.gc_ns;
+  const SimTime flash = tracer.totals_.flash_ns - start_.flash_ns;
+  const SimTime total = end > begin_ ? end - begin_ : 0;
+  const SimTime attributed = queue + gc + flash;
+  k.total->Record(total);
+  k.queue->Record(queue);
+  k.gc->Record(gc);
+  k.flash->Record(flash);
+  k.host->Record(total > attributed ? total - attributed : 0);
+  tracer.timeline_->RecordSpan(k.name, begin_, end);
 }
 
 void Tracer::Span::Abandon() {
-  if (tracer_ != nullptr) {
-    tracer_->Remove(id_);
-    tracer_ = nullptr;
-  }
-}
-
-Tracer::Span Tracer::Start(std::string_view name, SimTime begin) {
-  OpenSpan s;
-  s.id = next_id_++;
-  s.name = std::string(name);
-  s.begin = begin;
-  open_.push_back(std::move(s));
-  return Span(this, open_.back().id);
-}
-
-void Tracer::Charge(const SpanComponents& c) {
-  for (OpenSpan& s : open_) {
-    s.components.queue_ns += c.queue_ns;
-    s.components.gc_ns += c.gc_ns;
-    s.components.flash_ns += c.flash_ns;
-    s.components.flash_ops += c.flash_ops;
-  }
-}
-
-void Tracer::Finish(std::uint64_t id, SimTime end) {
-  for (std::size_t i = 0; i < open_.size(); ++i) {
-    if (open_[i].id != id) {
-      continue;
-    }
-    const OpenSpan s = std::move(open_[i]);
-    open_.erase(open_.begin() + static_cast<std::ptrdiff_t>(i));
-    const SimTime total = end > s.begin ? end - s.begin : 0;
-    const SimTime attributed =
-        s.components.queue_ns + s.components.gc_ns + s.components.flash_ns;
-    const SimTime host = total > attributed ? total - attributed : 0;
-    const std::string prefix = "span." + s.name;
-    registry_->GetHistogram(prefix + ".total_ns")->Record(total);
-    registry_->GetHistogram(prefix + ".queue_ns")->Record(s.components.queue_ns);
-    registry_->GetHistogram(prefix + ".gc_ns")->Record(s.components.gc_ns);
-    registry_->GetHistogram(prefix + ".flash_ns")->Record(s.components.flash_ns);
-    registry_->GetHistogram(prefix + ".host_ns")->Record(host);
-    if (timeline_ != nullptr) {
-      timeline_->RecordSpan(s.name, s.begin, end);
-    }
+  if (kind_ == nullptr) {
     return;
   }
-}
-
-void Tracer::AbandonOpen() {
-  while (!open_.empty()) {
-    Remove(open_.back().id);
+  Kind& k = *std::exchange(kind_, nullptr);
+  if (k.abandoned == nullptr) {
+    k.abandoned = k.tracer->registry_->GetCounter("span." + std::string(k.name) + ".abandoned");
   }
-}
-
-void Tracer::Remove(std::uint64_t id) {
-  for (std::size_t i = 0; i < open_.size(); ++i) {
-    if (open_[i].id == id) {
-      registry_->GetCounter("span." + open_[i].name + ".abandoned")->Add(1);
-      open_.erase(open_.begin() + static_cast<std::ptrdiff_t>(i));
-      return;
-    }
-  }
+  k.abandoned->Add(1);
 }
 
 }  // namespace blockhead

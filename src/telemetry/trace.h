@@ -1,8 +1,8 @@
 // Per-operation tracing spans for the simulated stack.
 //
 // A span brackets one host-visible operation (a KV Get, a zonefile Append, an FTL write) in
-// SimTime. While a span is open, the flash device charges it the components of every host
-// flash operation it performs:
+// SimTime. The flash device splits every host flash op it performs into three components and
+// charges them to the tracer:
 //
 //   * queue_ns — time the op's flash commands waited behind *other foreground* work
 //     (plane/channel contention with earlier host commands);
@@ -11,12 +11,16 @@
 //   * flash_ns — raw service time of the op's own commands (cell reads/programs + bus
 //     transfers).
 //
-// Spans nest: every layer that opens a span while a caller's span is still open sees the same
-// charges, so a single `kv.get` span accumulates exactly the flash work done on its behalf by
-// the filesystem and device layers below. The simulation is single-threaded, so the open-span
-// stack needs no synchronization and stays deterministic.
+// The tracer keeps one running total per component; Charge adds to them in O(1). A span is a
+// snapshot: it copies the totals at Start and subtracts them from the totals at End, so it
+// sees exactly the charges made while it was open. Spans therefore nest and may end in any
+// order: a `kv.get` span accumulates all flash work done on its behalf by the filesystem and
+// device layers below, whose own spans see their share. Unsigned subtraction stays exact even
+// if a total wraps. The simulation is single-threaded, so the totals need no synchronization.
 //
-// When a span ends, its components are recorded into registry histograms:
+// Span names are interned: a layer resolves each name once (Intern, at AttachTelemetry) into
+// a Kind the tracer owns, and opens spans by Kind. When a span ends, its components are
+// recorded into the kind's registry histograms:
 //   span.<name>.total_ns   (end - begin)
 //   span.<name>.queue_ns
 //   span.<name>.gc_ns
@@ -24,18 +28,21 @@
 //   span.<name>.host_ns    (total minus the three above: host-side time — buffering,
 //                           write-pointer serialization, controller work)
 // A span destroyed without End() (error paths) records no histograms, but bumps the
-// span.<name>.abandoned counter so leaked/error-path spans are visible in snapshots.
+// span.<name>.abandoned counter so error-path spans are visible in snapshots. A kind looks up
+// its histograms on its first End and its counter on its first abandon, so interning a name
+// adds no registry rows by itself.
 //
-// When a Timeline is attached (set_timeline), every ended span is additionally recorded as a
-// duration slice on the timeline's host-ops track, SimTime-stamped, for Perfetto export.
+// Every ended span is also passed to the timeline, which records it as a duration slice on
+// its host-ops track (SimTime-stamped, for Perfetto export) while the timeline is enabled.
 
 #ifndef BLOCKHEAD_SRC_TELEMETRY_TRACE_H_
 #define BLOCKHEAD_SRC_TELEMETRY_TRACE_H_
 
-#include <cstdint>
+#include <functional>
+#include <map>
 #include <string>
 #include <string_view>
-#include <vector>
+#include <utility>
 
 #include "src/telemetry/metric_registry.h"
 #include "src/telemetry/timeline.h"
@@ -43,34 +50,44 @@
 
 namespace blockhead {
 
-// Flash-time components charged to open spans (see file comment).
-struct SpanComponents {
-  SimTime queue_ns = 0;
-  SimTime gc_ns = 0;
-  SimTime flash_ns = 0;
-  std::uint64_t flash_ops = 0;
-};
-
 class Tracer {
+  struct Totals {
+    SimTime queue_ns = 0;
+    SimTime gc_ns = 0;
+    SimTime flash_ns = 0;
+  };
+
  public:
-  explicit Tracer(MetricRegistry* registry) : registry_(registry) {}
+  Tracer(MetricRegistry* registry, Timeline* timeline)
+      : registry_(registry), timeline_(timeline) {}
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
+  // An interned span name with its lazily resolved registry instruments. Layers only hold
+  // pointers to kinds; the tracer fills them in.
+  struct Kind {
+    Tracer* tracer = nullptr;
+    std::string_view name;  // The tracer's map key.
+    Histogram* total = nullptr;
+    Histogram* queue = nullptr;
+    Histogram* gc = nullptr;
+    Histogram* flash = nullptr;
+    Histogram* host = nullptr;
+    Counter* abandoned = nullptr;
+  };
+
   // Handle to one open span. Move-only; End() records it, destruction without End() abandons
-  // it silently (nothing recorded).
+  // it (counted, nothing else recorded).
   class Span {
    public:
     Span() = default;  // Inactive handle: End() is a no-op.
-    Span(Span&& other) noexcept : tracer_(other.tracer_), id_(other.id_) {
-      other.tracer_ = nullptr;
-    }
+    Span(Span&& other) noexcept { *this = std::move(other); }
     Span& operator=(Span&& other) noexcept {
       if (this != &other) {
         Abandon();
-        tracer_ = other.tracer_;
-        id_ = other.id_;
-        other.tracer_ = nullptr;
+        kind_ = std::exchange(other.kind_, nullptr);
+        begin_ = other.begin_;
+        start_ = other.start_;
       }
       return *this;
     }
@@ -80,51 +97,35 @@ class Tracer {
 
     // Ends the span at `end` and records its histograms. Idempotent.
     void End(SimTime end);
-    bool active() const { return tracer_ != nullptr; }
 
    private:
     friend class Tracer;
-    Span(Tracer* tracer, std::uint64_t id) : tracer_(tracer), id_(id) {}
     void Abandon();
 
-    Tracer* tracer_ = nullptr;
-    std::uint64_t id_ = 0;
+    Kind* kind_ = nullptr;
+    SimTime begin_ = 0;
+    Totals start_;
   };
 
-  // Opens a span named `name` starting at `begin` (SimTime).
-  Span Start(std::string_view name, SimTime begin);
+  // Returns the kind for `name`, creating it on first use. Kinds live as long as the tracer.
+  Kind* Intern(std::string_view name);
 
-  // Attaches a timeline that receives every ended span as a slice (nullptr detaches).
-  void set_timeline(Timeline* timeline) { timeline_ = timeline; }
+  // Opens a span of `kind` starting at `begin` (SimTime). A null kind (telemetry detached)
+  // yields an inactive handle.
+  static Span Start(Kind* kind, SimTime begin);
 
-  // Charges `c` to every open span. No-op when no span is open, so layers may charge
-  // unconditionally.
-  void Charge(const SpanComponents& c);
-
-  // Drains every still-open span, bumping its span.<name>.abandoned counter. The bench
-  // harness calls this in teardown so spans left open on early exit are visible in the final
-  // snapshot instead of silently vanishing (their Span handles outlive the dump). Handles to
-  // drained spans become inert: End()/destruction after this is a no-op.
-  void AbandonOpen();
-
-  bool active() const { return !open_.empty(); }
-  std::size_t open_spans() const { return open_.size(); }
+  // Adds one host flash op's components to the running totals every open span snapshots.
+  void Charge(SimTime queue_ns, SimTime gc_ns, SimTime flash_ns) {
+    totals_.queue_ns += queue_ns;
+    totals_.gc_ns += gc_ns;
+    totals_.flash_ns += flash_ns;
+  }
 
  private:
-  struct OpenSpan {
-    std::uint64_t id = 0;
-    std::string name;
-    SimTime begin = 0;
-    SpanComponents components;
-  };
-
-  void Finish(std::uint64_t id, SimTime end);
-  void Remove(std::uint64_t id);
-
   MetricRegistry* registry_;
-  Timeline* timeline_ = nullptr;
-  std::vector<OpenSpan> open_;
-  std::uint64_t next_id_ = 1;
+  Timeline* timeline_;
+  Totals totals_;
+  std::map<std::string, Kind, std::less<>> kinds_;
 };
 
 }  // namespace blockhead

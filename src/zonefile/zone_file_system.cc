@@ -290,10 +290,7 @@ Result<SimTime> ZoneFileSystem::Append(std::string_view name,
   if (file == nullptr) {
     return ErrorCode::kNotFound;
   }
-  Tracer::Span span;
-  if (telemetry_ != nullptr) {
-    span = telemetry_->tracer.Start(metric_prefix_ + ".append", now);
-  }
+  Tracer::Span span = Tracer::Start(append_span_, now);
   SimTime done = now;
   std::size_t consumed = 0;
   while (consumed < data.size()) {
@@ -334,10 +331,7 @@ Result<SimTime> ZoneFileSystem::Read(std::string_view name, std::uint64_t offset
     return ErrorCode::kOutOfRange;
   }
   stats_.bytes_read += out.size();
-  Tracer::Span span;
-  if (telemetry_ != nullptr) {
-    span = telemetry_->tracer.Start(metric_prefix_ + ".read", now);
-  }
+  Tracer::Span span = Tracer::Start(read_span_, now);
 
   SimTime done_all = now;
   std::uint64_t cur = offset;       // Position within the remaining extent walk.
@@ -763,8 +757,12 @@ void ZoneFileSystem::AttachTelemetry(Telemetry* telemetry, std::string_view pref
   if (telemetry_ == nullptr) {
     provenance_ingress_ = nullptr;
     audit_files_ = nullptr;
+    append_span_ = nullptr;
+    read_span_ = nullptr;
     return;
   }
+  append_span_ = telemetry_->tracer.Intern(metric_prefix_ + ".append");
+  read_span_ = telemetry_->tracer.Intern(metric_prefix_ + ".read");
   telemetry_->registry.AddProvider(metric_prefix_, [this] { PublishMetrics(); });
   audit_files_ = telemetry_->audit.Register(metric_prefix_ + ".extents");
   provenance_ingress_ = telemetry_->provenance.RegisterDomain(metric_prefix_);

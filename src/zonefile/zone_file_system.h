@@ -221,6 +221,9 @@ class ZoneFileSystem {
   Telemetry* telemetry_ = nullptr;
   std::string metric_prefix_;
   int sampler_group_ = -1;  // Timeline group for free-space / WA gauges.
+  // Span kinds "<prefix>.append" / "<prefix>.read", interned at attach.
+  Tracer::Kind* append_span_ = nullptr;
+  Tracer::Kind* read_span_ = nullptr;
   // Application bytes accepted by Append, accumulated into the provenance ledger's domain
   // "<prefix>" as a link in the factorized-WA chain.
   Bytes* provenance_ingress_ = nullptr;

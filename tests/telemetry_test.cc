@@ -86,9 +86,10 @@ TEST(MetricRegistryTest, ProvidersRunBeforeSnapshotAndReplaceById) {
 
 TEST(TracerTest, SpanRecordsComponentHistograms) {
   MetricRegistry reg;
-  Tracer tracer(&reg);
-  Tracer::Span span = tracer.Start("op", 1000);
-  tracer.Charge({/*queue_ns=*/10, /*gc_ns=*/20, /*flash_ns=*/30, /*flash_ops=*/1});
+  Timeline timeline;
+  Tracer tracer(&reg, &timeline);
+  Tracer::Span span = Tracer::Start(tracer.Intern("op"), 1000);
+  tracer.Charge(/*queue_ns=*/10, /*gc_ns=*/20, /*flash_ns=*/30);
   span.End(1100);
   const Histogram* total = reg.GetHistogram("span.op.total_ns");
   const Histogram* queue = reg.GetHistogram("span.op.queue_ns");
@@ -106,55 +107,102 @@ TEST(TracerTest, SpanRecordsComponentHistograms) {
 
 TEST(TracerTest, NestedSpansBothSeeCharges) {
   MetricRegistry reg;
-  Tracer tracer(&reg);
-  Tracer::Span outer = tracer.Start("outer", 0);
-  Tracer::Span inner = tracer.Start("inner", 10);
-  EXPECT_EQ(tracer.open_spans(), 2u);
-  tracer.Charge({0, 0, /*flash_ns=*/50, 1});
+  Timeline timeline;
+  Tracer tracer(&reg, &timeline);
+  Tracer::Span outer = Tracer::Start(tracer.Intern("outer"), 0);
+  Tracer::Span inner = Tracer::Start(tracer.Intern("inner"), 10);
+  tracer.Charge(0, 0, /*flash_ns=*/50);
   inner.End(100);
   // Only the outer span remains open; further charges reach it alone.
-  tracer.Charge({0, 0, /*flash_ns=*/25, 1});
+  tracer.Charge(0, 0, /*flash_ns=*/25);
   outer.End(200);
   EXPECT_EQ(reg.GetHistogram("span.inner.flash_ns")->sum(), 50u);
   EXPECT_EQ(reg.GetHistogram("span.outer.flash_ns")->sum(), 75u);
-  EXPECT_FALSE(tracer.active());
+}
+
+// Spans are snapshots, not a stack: the outer span may end first and each still gets exactly
+// the charges made while it was open.
+TEST(TracerTest, OuterSpanEndingFirstKeepsBothSums) {
+  MetricRegistry reg;
+  Timeline timeline;
+  Tracer tracer(&reg, &timeline);
+  tracer.Charge(1, 1, 1);  // Before either span: seen by neither.
+  Tracer::Span outer = Tracer::Start(tracer.Intern("outer"), 0);
+  tracer.Charge(/*queue_ns=*/5, 0, 0);
+  Tracer::Span inner = Tracer::Start(tracer.Intern("inner"), 10);
+  tracer.Charge(0, /*gc_ns=*/7, 0);
+  outer.End(100);
+  tracer.Charge(0, 0, /*flash_ns=*/11);  // After outer ended: inner only.
+  inner.End(200);
+  EXPECT_EQ(reg.GetHistogram("span.outer.queue_ns")->sum(), 5u);
+  EXPECT_EQ(reg.GetHistogram("span.outer.gc_ns")->sum(), 7u);
+  EXPECT_EQ(reg.GetHistogram("span.outer.flash_ns")->sum(), 0u);
+  EXPECT_EQ(reg.GetHistogram("span.outer.host_ns")->sum(), 88u);  // 100 - (5 + 7).
+  EXPECT_EQ(reg.GetHistogram("span.inner.queue_ns")->sum(), 0u);
+  EXPECT_EQ(reg.GetHistogram("span.inner.gc_ns")->sum(), 7u);
+  EXPECT_EQ(reg.GetHistogram("span.inner.flash_ns")->sum(), 11u);
+  EXPECT_EQ(reg.GetHistogram("span.inner.total_ns")->sum(), 190u);
 }
 
 TEST(TracerTest, AbandonedSpanRecordsNothingButIsCounted) {
   MetricRegistry reg;
-  Tracer tracer(&reg);
+  Timeline timeline;
+  Tracer tracer(&reg, &timeline);
+  Tracer::Kind* lost = tracer.Intern("lost");
   {
-    Tracer::Span span = tracer.Start("lost", 0);
-    tracer.Charge({1, 2, 3, 1});
+    Tracer::Span span = Tracer::Start(lost, 0);
+    tracer.Charge(1, 2, 3);
     // Destroyed without End(): the error-path contract.
   }
-  EXPECT_FALSE(tracer.active());
   EXPECT_FALSE(reg.Lookup("span.lost.total_ns"));
   // The leak is not silent: each abandonment bumps a per-name counter.
   ASSERT_TRUE(reg.Lookup("span.lost.abandoned"));
   EXPECT_EQ(reg.GetCounter("span.lost.abandoned")->value(), 1u);
   {
-    Tracer::Span again = tracer.Start("lost", 10);
+    Tracer::Span again = Tracer::Start(lost, 10);
   }
   EXPECT_EQ(reg.GetCounter("span.lost.abandoned")->value(), 2u);
   // Ended spans never touch the abandoned counter.
-  Tracer::Span ok = tracer.Start("fine", 0);
+  Tracer::Span ok = Tracer::Start(tracer.Intern("fine"), 0);
   ok.End(5);
   EXPECT_FALSE(reg.Lookup("span.fine.abandoned"));
 }
 
+// Interning resolves no instruments: a kind adds registry rows only once a span of it ends
+// (five histograms) or is abandoned (the counter alone).
+TEST(TracerTest, InternedKindsAddRowsOnlyWhenUsed) {
+  MetricRegistry reg;
+  Timeline timeline;
+  Tracer tracer(&reg, &timeline);
+  Tracer::Kind* idle = tracer.Intern("idle");
+  EXPECT_EQ(tracer.Intern("idle"), idle);  // Same name, same kind.
+  { Tracer::Span never_ended = Tracer::Start(tracer.Intern("dropped"), 0); }
+  EXPECT_EQ(reg.size(), 1u);
+  EXPECT_TRUE(reg.Lookup("span.dropped.abandoned"));
+  for (const char* row : {"total_ns", "queue_ns", "gc_ns", "flash_ns", "host_ns"}) {
+    EXPECT_FALSE(reg.Lookup(std::string("span.dropped.") + row)) << row;
+  }
+  EXPECT_FALSE(reg.Lookup("span.idle.abandoned"));
+  EXPECT_FALSE(reg.Lookup("span.idle.total_ns"));
+}
+
 TEST(TracerTest, EndIsIdempotentAndMovedFromHandleInert) {
   MetricRegistry reg;
-  Tracer tracer(&reg);
-  Tracer::Span a = tracer.Start("op", 0);
+  Timeline timeline;
+  Tracer tracer(&reg, &timeline);
+  Tracer::Span a = Tracer::Start(tracer.Intern("op"), 0);
   Tracer::Span b = std::move(a);
-  EXPECT_FALSE(a.active());  // NOLINT(bugprone-use-after-move): moved-from must be inert.
-  a.End(50);                 // No-op.
+  a.End(50);  // NOLINT(bugprone-use-after-move): moved-from must be inert.
   b.End(100);
   b.End(999);  // Idempotent: second End ignored.
   const Histogram* total = reg.GetHistogram("span.op.total_ns");
   EXPECT_EQ(total->count(), 1u);
   EXPECT_EQ(total->sum(), 100u);
+  EXPECT_FALSE(reg.Lookup("span.op.abandoned"));
+  // A null kind (telemetry detached) yields an inert handle.
+  Tracer::Span detached = Tracer::Start(nullptr, 0);
+  detached.End(10);
+  EXPECT_EQ(total->count(), 1u);
 }
 
 // GC interference must be *measured* from plane occupancy, not estimated: a host read queued
@@ -171,7 +219,7 @@ TEST(FlashTelemetryTest, HostReadBehindEraseChargesGcTime) {
   // Start maintenance (an erase of another block on the same plane), then issue a host read
   // while the plane is still busy erasing.
   ASSERT_TRUE(flash.EraseBlock(ChannelId{0}, PlaneId{0}, BlockId{1}, t0).ok());
-  Tracer::Span span = tel.tracer.Start("probe", t0);
+  Tracer::Span span = Tracer::Start(tel.tracer.Intern("probe"), t0);
   Result<SimTime> read = flash.ReadPage(addr, t0);
   ASSERT_TRUE(read.ok());
   span.End(read.value());
@@ -195,13 +243,81 @@ TEST(FlashTelemetryTest, HostReadBehindHostProgramChargesQueueTime) {
   PhysAddr next{ChannelId{0}, PlaneId{0}, BlockId{0}, PageId{1}};
   ASSERT_TRUE(flash.ProgramPage(next, 0).ok());  // Plane busy with host work.
 
-  Tracer::Span span = tel.tracer.Start("probe", 0);
+  Tracer::Span span = Tracer::Start(tel.tracer.Intern("probe"), 0);
   Result<SimTime> read = flash.ReadPage(addr, 0);
   ASSERT_TRUE(read.ok());
   span.End(read.value());
 
   EXPECT_GT(tel.registry.GetHistogram("span.probe.queue_ns")->sum(), 0u);
   EXPECT_EQ(tel.registry.GetHistogram("span.probe.gc_ns")->sum(), 0u);
+}
+
+// The program path's GC branch: a host program queued behind an erase on the same plane
+// attributes that wait to gc_ns.
+TEST(FlashTelemetryTest, HostProgramBehindEraseChargesGcTime) {
+  Telemetry tel;
+  FlashDevice flash(SmallFlash());
+  flash.AttachTelemetry(&tel, "flash");
+
+  ASSERT_TRUE(flash.ProgramPage(PhysAddr{ChannelId{0}, PlaneId{0}, BlockId{0}, PageId{0}}, 0)
+                  .ok());
+  const SimTime t0 = flash.PlaneBusyUntil(ChannelId{0}, PlaneId{0});
+  ASSERT_TRUE(flash.EraseBlock(ChannelId{0}, PlaneId{0}, BlockId{1}, t0).ok());
+  Tracer::Span span = Tracer::Start(tel.tracer.Intern("probe"), t0);
+  Result<SimTime> program =
+      flash.ProgramPage(PhysAddr{ChannelId{0}, PlaneId{0}, BlockId{0}, PageId{1}}, t0);
+  ASSERT_TRUE(program.ok());
+  span.End(program.value());
+
+  EXPECT_GT(tel.registry.GetHistogram("span.probe.gc_ns")->sum(), 0u);
+  EXPECT_EQ(tel.registry.GetHistogram("span.probe.queue_ns")->sum(), 0u);
+  const FlashTiming& timing = flash.timing();
+  EXPECT_EQ(tel.registry.GetHistogram("span.probe.flash_ns")->sum(),
+            timing.channel_xfer + timing.page_program);
+}
+
+// Each host flash op is split once: the span's components and the request-path ledger's
+// segments come from the same intervals, so for a read and a program queued behind both
+// maintenance and earlier host work they agree exactly.
+TEST(FlashTelemetryTest, SpanSumsEqualRequestPathSegments) {
+  for (const ReqOp op : {ReqOp::kRead, ReqOp::kWrite}) {
+    Telemetry tel;
+    FlashDevice flash(SmallFlash());
+    flash.AttachTelemetry(&tel, "flash");
+    tel.reqpath.Enable();
+    const PhysAddr page0{ChannelId{0}, PlaneId{0}, BlockId{0}, PageId{0}};
+    const PhysAddr page1{ChannelId{0}, PlaneId{0}, BlockId{0}, PageId{1}};
+    const PhysAddr page2{ChannelId{0}, PlaneId{0}, BlockId{0}, PageId{2}};
+    ASSERT_TRUE(flash.ProgramPage(page0, 0).ok());
+    const SimTime t0 = flash.PlaneBusyUntil(ChannelId{0}, PlaneId{0});
+    {
+      WriteProvenance::CauseScope gc(&tel.provenance, WriteCause::kDeviceGC, StackLayer::kFtl);
+      ASSERT_TRUE(flash.EraseBlock(ChannelId{0}, PlaneId{0}, BlockId{1}, t0).ok());
+    }
+    ASSERT_TRUE(flash.ProgramPage(page1, t0).ok());  // Host work queued behind the erase.
+
+    RequestPathLedger::RequestScope req(&tel.reqpath, RequestContext{0, op}, t0);
+    Tracer::Span span = Tracer::Start(tel.tracer.Intern("probe"), t0);
+    Result<SimTime> done =
+        op == ReqOp::kRead ? flash.ReadPage(page0, t0) : flash.ProgramPage(page2, t0);
+    ASSERT_TRUE(done.ok());
+    span.End(done.value());
+    req.Complete(done.value());
+
+    const auto span_ns = [&](const std::string& component) {
+      return tel.registry.GetHistogram("span.probe." + component)->sum();
+    };
+    const auto seg_ns = [&](PathSegment s) {
+      return tel.reqpath.op_totals(op).seg_ns[static_cast<int>(s)];
+    };
+    SCOPED_TRACE(ReqOpName(op));
+    EXPECT_GT(span_ns("gc_ns"), 0u);
+    EXPECT_GT(span_ns("queue_ns"), 0u);
+    EXPECT_EQ(span_ns("queue_ns"), seg_ns(PathSegment::kDeviceQueue));
+    EXPECT_EQ(span_ns("gc_ns"), seg_ns(PathSegment::kGcStall));
+    EXPECT_EQ(span_ns("flash_ns"), seg_ns(PathSegment::kFlashBusy));
+    EXPECT_EQ(span_ns("total_ns"), tel.reqpath.op_totals(op).latency_ns);
+  }
 }
 
 TEST(FlashTelemetryTest, ProviderExportsStatsAndWear) {
