@@ -6,11 +6,17 @@
 // scheduling policy (inline / background / read-priority / rate-limited). On a conventional
 // SSD this knob does not exist — the device decides. Reported: read tail latencies, write
 // latency, throughput, and forced-GC stalls per policy.
+//
+// Each policy's host FTL is attached under "hostftl.<policy>", and the table's latency and
+// throughput cells are published next to its rows as "hostftl.<policy>.run.*".
 
 #include <cstdio>
+#include <string>
 
+#include "bench/bench_main.h"
 #include "src/core/matched_pair.h"
 #include "src/hostftl/host_ftl.h"
+#include "src/telemetry/telemetry.h"
 #include "src/workload/workload.h"
 
 using namespace blockhead;
@@ -24,13 +30,26 @@ struct PolicyResult {
   std::uint64_t gc_pages = 0;
 };
 
-PolicyResult Run(GcSchedPolicy policy) {
+// Metric-prefix-safe policy key ("read-priority" -> "read_priority").
+std::string PolicyKey(GcSchedPolicy policy) {
+  std::string key = GcSchedPolicyName(policy);
+  for (char& c : key) {
+    if (c == '-') {
+      c = '_';
+    }
+  }
+  return key;
+}
+
+PolicyResult Run(GcSchedPolicy policy, Telemetry* tel) {
+  const std::string prefix = "hostftl." + PolicyKey(policy);
   MatchedConfig cfg = MatchedConfig::Bench();
   ZnsDevice dev(cfg.flash, cfg.zns);
   HostFtlConfig hcfg;
   hcfg.sched.policy = policy;
   hcfg.sched.low_free_fraction = 0.12;  // Below the steady-state free fraction for 20% host OP.
   HostFtlBlockDevice ftl(&dev, hcfg);
+  ftl.AttachTelemetry(tel, prefix);
 
   auto fill = SequentialFill(ftl, 1.0, 0);
   RandomWorkloadConfig wl;
@@ -50,12 +69,21 @@ PolicyResult Run(GcSchedPolicy policy) {
   result.forced_stalls = ftl.stats().forced_gc_stalls;
   result.gc_cycles = ftl.stats().gc_cycles;
   result.gc_pages = ftl.stats().gc_pages_copied;
+
+  MetricRegistry& reg = tel->registry;
+  reg.GetCounter(prefix + ".run.read_p99_ns")->Set(result.run.read_latency.Percentile(0.99));
+  reg.GetCounter(prefix + ".run.read_p999_ns")->Set(result.run.read_latency.Percentile(0.999));
+  reg.GetCounter(prefix + ".run.write_p99_ns")->Set(result.run.write_latency.Percentile(0.99));
+  reg.GetCounter(prefix + ".run.write_max_ns")->Set(result.run.write_latency.max());
+  reg.GetGauge(prefix + ".run.total_mibps")->Set(result.run.TotalMiBps());
   return result;
 }
 
 }  // namespace
 
-int main() {
+int RunBench(const BenchOptions& opts, Telemetry& tel) {
+  MaybeEnableTimeline(opts, tel);
+
   std::printf("=== E11: Host GC scheduling policies (block-on-ZNS, 60/40 R/W mix) ===\n");
   std::printf("Paper claim (§4.1): host-scheduled reclamation lets policy trade read tails\n"
               "against write headroom — a choice conventional SSDs make opaquely in firmware.\n\n");
@@ -65,7 +93,7 @@ int main() {
   for (const GcSchedPolicy policy :
        {GcSchedPolicy::kInline, GcSchedPolicy::kBackground, GcSchedPolicy::kReadPriority,
         GcSchedPolicy::kRateLimited}) {
-    const PolicyResult r = Run(policy);
+    const PolicyResult r = Run(policy, &tel);
     table.AddRow(
         {GcSchedPolicyName(policy),
          TablePrinter::Fmt(static_cast<double>(r.run.read_latency.Percentile(0.99)) /
@@ -85,5 +113,9 @@ int main() {
               "opportunistic policies bound worst-case stalls at the price of more relocation\n"
               "and a steady mid-tail tax. On a conventional SSD this dial does not exist --\n"
               "the device picks one policy for everyone (\u00a74.1).\n");
-  return 0;
+  return FinishBench(opts, "bench_sched_policies", tel);
+}
+
+int main(int argc, char** argv) {
+  return RunBenchMain(argc, argv, "bench_sched_policies", RunBench);
 }

@@ -83,6 +83,7 @@ benches=(
   "bench_block_emulation 23"
   "bench_fleet 42"
   "bench_interference 7"
+  "bench_sched_policies 17"
 )
 
 # Perf subset: the gate reruns each bench PERF_REPEATS times, so only the fast benches
