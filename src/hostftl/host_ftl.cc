@@ -1,14 +1,16 @@
 #include "src/hostftl/host_ftl.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstring>
-#include <limits>
+#include <functional>
 
 namespace blockhead {
 
 HostFtlBlockDevice::HostFtlBlockDevice(ZnsDevice* device, const HostFtlConfig& config)
-    : device_(device), config_(config), scheduler_(config.sched) {
+    : device_(device),
+      config_(config),
+      reclaimer_(device, config.sched, /*first_zone=*/0, config.gc_max_live_fraction,
+                 config.gc_step_pages) {
   const std::uint32_t zones = device_->num_zones();
   zone_pages_ = device_->zone_size_pages();
   const std::uint64_t physical_pages = static_cast<std::uint64_t>(zones) * zone_pages_;
@@ -27,20 +29,14 @@ HostFtlBlockDevice::HostFtlBlockDevice(ZnsDevice* device, const HostFtlConfig& c
       std::min(config_.sched.low_free_fraction, 0.6 * spare_fraction);
   config_.sched.critical_free_fraction =
       std::min(config_.sched.critical_free_fraction, 0.5 * config_.sched.low_free_fraction);
-  scheduler_ = GcScheduler(config_.sched);
+  reclaimer_.scheduler() = GcScheduler(config_.sched);
 
   l2p_.assign(logical_pages_, kUnmapped);
   d2l_.assign(physical_pages, kUnmapped);
-  zone_live_.assign(zones, 0);
-  free_zones_.reserve(zones);
   // Pop order is back-first; keep low-numbered zones first out for readability.
   for (std::uint32_t z = zones; z > 0; --z) {
-    free_zones_.push_back(z - 1);
+    reclaimer_.AddFreeZone(z - 1);
   }
-}
-
-double HostFtlBlockDevice::FreeFraction() const {
-  return static_cast<double>(free_zones_.size()) / static_cast<double>(device_->num_zones());
 }
 
 bool HostFtlBlockDevice::DevicePageLive(std::uint64_t dev_lba) const {
@@ -52,9 +48,7 @@ void HostFtlBlockDevice::InvalidatePage(std::uint64_t lpn, SimTime now) {
   if (old == kUnmapped) {
     return;
   }
-  const std::uint64_t zone = old / zone_pages_;
-  assert(zone_live_[zone] > 0);
-  zone_live_[zone]--;
+  reclaimer_.DropLive(static_cast<std::uint32_t>(old / zone_pages_), 1);
   d2l_[old] = kUnmapped;
   l2p_[lpn] = kUnmapped;
   if (audit_l2p_ != nullptr && audit_l2p_->armed()) {
@@ -73,11 +67,10 @@ Status HostFtlBlockDevice::EnsureFrontier(bool relocation, SimTime now) {
       }
       frontier = kNoZone;  // Sealed or unusable; pick a new one.
     }
-    if (free_zones_.empty()) {
+    frontier = reclaimer_.TakeFreeZone();
+    if (frontier == kNoZone) {
       return Status(ErrorCode::kNoFreeBlocks, "host FTL out of free zones");
     }
-    frontier = free_zones_.back();
-    free_zones_.pop_back();
     const ZoneDescriptor d = device_->zone(ZoneId{frontier});
     if (d.state == ZoneState::kOffline || d.capacity_pages == 0) {
       frontier = kNoZone;  // Worn-out zone: drop it permanently.
@@ -111,37 +104,11 @@ Result<SimTime> HostFtlBlockDevice::AppendPage(std::uint64_t lpn, SimTime issue,
   InvalidatePage(lpn, done);
   l2p_[lpn] = dev_lba;
   d2l_[dev_lba] = lpn;
-  zone_live_[dev_lba / zone_pages_]++;
+  reclaimer_.AddLive(host_zone_, 1);
   if (audit_l2p_ != nullptr && audit_l2p_->armed()) {
     audit_l2p_->Insert(done, L2pEntryHash(lpn, dev_lba));
   }
   return done;
-}
-
-std::uint32_t HostFtlBlockDevice::PickVictim(bool critical) const {
-  std::uint32_t best = kNoZone;
-  std::uint32_t best_live = std::numeric_limits<std::uint32_t>::max();
-  for (std::uint32_t z = 0; z < device_->num_zones(); ++z) {
-    if (z == host_zone_ || z == reloc_zone_ || z == gc_victim_) {
-      continue;
-    }
-    const ZoneDescriptor d = device_->zone(ZoneId{z});
-    if (d.state != ZoneState::kFull) {
-      continue;
-    }
-    if (zone_live_[z] >= d.capacity_pages) {
-      continue;  // Fully live: reclaiming it frees nothing.
-    }
-    if (!critical && static_cast<double>(zone_live_[z]) >
-                         config_.gc_max_live_fraction * static_cast<double>(d.capacity_pages)) {
-      continue;
-    }
-    if (zone_live_[z] < best_live) {
-      best_live = zone_live_[z];
-      best = z;
-    }
-  }
-  return best;
 }
 
 Result<SimTime> HostFtlBlockDevice::GcStep(SimTime now, bool critical,
@@ -151,22 +118,11 @@ Result<SimTime> HostFtlBlockDevice::GcStep(SimTime now, bool critical,
   // doubling the paper attributes to dm-zoned-style translation shows up under this cause.
   WriteProvenance::CauseScope cause(ProvenanceOf(telemetry_),
                                     WriteCause::kBlockEmulationReclaim, StackLayer::kHostFtl);
-  if (gc_victim_ == kNoZone) {
-    gc_victim_ = PickVictim(critical);
-    gc_offset_ = 0;
-    if (gc_victim_ == kNoZone) {
-      return ErrorCode::kNoFreeBlocks;
-    }
-    gc_cycle_copied_base_ = stats_.gc_pages_copied;
-    if (telemetry_ != nullptr) {
-      telemetry_->events.Append(now, TimelineEventType::kGcVictim, metric_prefix_,
-                                "victim zone " + std::to_string(gc_victim_) + " live " +
-                                    std::to_string(zone_live_[gc_victim_]) +
-                                    (critical ? " critical" : ""),
-                                gc_victim_, zone_live_[gc_victim_]);
-    }
+  if (reclaimer_.victim() == kNoZone) {
+    const std::uint32_t skip[] = {host_zone_, reloc_zone_};
+    BLOCKHEAD_RETURN_IF_ERROR(reclaimer_.BeginCycle(now, critical, skip, stats_.gc_pages_copied));
   }
-  const ZoneDescriptor vd = device_->zone(ZoneId{gc_victim_});
+  const ZoneDescriptor vd = device_->zone(ZoneId{reclaimer_.victim()});
   const std::uint32_t page_size = device_->page_size();
   SimTime t = now;
   std::uint32_t moved = 0;
@@ -219,70 +175,37 @@ Result<SimTime> HostFtlBlockDevice::GcStep(SimTime now, bool critical,
       l2p_[lpn] = dst + p;
       d2l_[dst + p] = lpn;
       d2l_[src + p] = kUnmapped;
-      zone_live_[gc_victim_]--;
-      zone_live_[(dst + p) / zone_pages_]++;
-      stats_.gc_pages_copied++;
       if (audit) {
         audit_l2p_->Replace(t, L2pEntryHash(lpn, src + p), L2pEntryHash(lpn, dst + p));
       }
     }
+    reclaimer_.DropLive(reclaimer_.victim(), run);
+    reclaimer_.AddLive(reloc_zone_, run);
+    stats_.gc_pages_copied += run;
     gc_offset_ += run;
     moved += run;
   }
-  if (telemetry_ != nullptr && moved > 0) {
-    telemetry_->timeline.RecordMaintenance(metric_prefix_ + ".gc", "gc_step", now, t);
-  }
+  reclaimer_.NoteStep(now, t, moved);
   if (gc_offset_ < vd.capacity_pages) {
     return t;  // More steps needed; the victim resumes on the next call.
   }
 
-  assert(zone_live_[gc_victim_] == 0);
-  Result<SimTime> reset = device_->ResetZone(ZoneId{gc_victim_}, t);
+  Result<SimTime> reset = reclaimer_.FinishCycle(now, t, stats_.gc_pages_copied);
   if (!reset.ok()) {
     return reset;
   }
-  if (device_->zone(ZoneId{gc_victim_}).state != ZoneState::kOffline) {
-    free_zones_.push_back(gc_victim_);
-  }
   stats_.gc_cycles++;
   stats_.zones_reclaimed++;
-  scheduler_.NoteRun(now);
-  if (telemetry_ != nullptr) {
-    const std::uint64_t copied = stats_.gc_pages_copied - gc_cycle_copied_base_;
-    telemetry_->events.Append(reset.value(), TimelineEventType::kGcCycle, metric_prefix_,
-                              "cycle done zone " + std::to_string(gc_victim_) + " copied " +
-                                  std::to_string(copied),
-                              gc_victim_, copied);
-    telemetry_->timeline.AdvanceGroup(sampler_group_, reset.value());
-  }
-  gc_victim_ = kNoZone;
   gc_offset_ = 0;
   return reset;
-}
-
-Result<SimTime> HostFtlBlockDevice::GcRunToCompletion(SimTime now, bool critical) {
-  return GcStep(now, critical, std::numeric_limits<std::uint32_t>::max());
 }
 
 std::uint32_t HostFtlBlockDevice::Pump(SimTime now, bool reads_pending,
                                        std::uint32_t max_cycles) {
   SelfProfiler::Scope prof_scope(ProfilerOf(telemetry_),
                                  ProfSubsystem::kHostFtl, ProfOp::kMaintenance);
-  std::uint32_t ran = 0;
-  while (ran < max_cycles) {
-    const bool pending = gc_victim_ != kNoZone;
-    if (!pending && !scheduler_.ShouldRun(FreeFraction(), reads_pending, now)) {
-      break;
-    }
-    Result<SimTime> done =
-        GcStep(now, scheduler_.Critical(FreeFraction()), config_.gc_step_pages);
-    if (!done.ok()) {
-      break;
-    }
-    now = done.value();
-    ++ran;
-  }
-  return ran;
+  return reclaimer_.Pump(now, reads_pending, max_cycles,
+                         std::bind_front(&HostFtlBlockDevice::GcStep, this));
 }
 
 Result<SimTime> HostFtlBlockDevice::WriteBlocks(Lba lba, std::uint32_t count, SimTime issue,
@@ -304,22 +227,16 @@ Result<SimTime> HostFtlBlockDevice::WriteBlocks(Lba lba, std::uint32_t count, Si
   for (std::uint32_t i = 0; i < count; ++i) {
     // Mandatory reclamation when space is critical; the triggering write absorbs the delay,
     // exactly like foreground GC inside a conventional SSD — except here it is host policy.
-    if (scheduler_.Critical(FreeFraction())) {
+    if (reclaimer_.Critical()) {
       stats_.forced_gc_stalls++;
       // The reclaim's own device ops run as host-class commands inside this write's critical
       // path: reclassify their charges as a compaction stall inflicted by zone reclaim.
       RequestPathLedger::InterferenceScope stall_scope(
           ReqPathOf(telemetry_), WriteCause::kBlockEmulationReclaim, StackLayer::kHostFtl,
           metric_prefix_ + ".gc");
-      SimTime t = issue;
-      while (scheduler_.Critical(FreeFraction())) {
-        Result<SimTime> done = GcRunToCompletion(t, /*critical=*/true);
-        if (!done.ok()) {
-          break;
-        }
-        t = done.value();
-      }
-      scheduler_.NoteForcedStall(t - issue);
+      const SimTime t =
+          reclaimer_.RunWhileCritical(issue, std::bind_front(&HostFtlBlockDevice::GcStep, this));
+      reclaimer_.scheduler().NoteForcedStall(t - issue);
     }
     std::span<const std::uint8_t> page_data;
     if (!data.empty()) {
@@ -409,7 +326,7 @@ void HostFtlBlockDevice::AttachTelemetry(Telemetry* telemetry, std::string_view 
     PublishMetrics();
     telemetry_->registry.RemoveProvider(metric_prefix_);
     telemetry_->timeline.RemoveSamplerGroup(metric_prefix_);
-    scheduler_.AttachEvents(nullptr, "");
+    reclaimer_.AttachTelemetry(nullptr, "", -1);
   }
   telemetry_ = telemetry;
   metric_prefix_ = std::string(prefix);
@@ -426,10 +343,10 @@ void HostFtlBlockDevice::AttachTelemetry(Telemetry* telemetry, std::string_view 
   telemetry_->registry.AddProvider(metric_prefix_, [this] { PublishMetrics(); });
   audit_l2p_ = telemetry_->audit.Register(metric_prefix_ + ".l2p");
   provenance_ingress_ = telemetry_->provenance.RegisterDomain(metric_prefix_);
-  scheduler_.AttachEvents(&telemetry_->events, metric_prefix_ + ".sched");
 
   Timeline& tl = telemetry_->timeline;
   sampler_group_ = tl.AddSamplerGroup(metric_prefix_);
+  reclaimer_.AttachTelemetry(telemetry_, metric_prefix_, sampler_group_);
   tl.AddSampler(sampler_group_, metric_prefix_ + ".free_fraction",
                 Timeline::SampleKind::kInstant, [this](SimTime) { return FreeFraction(); });
   tl.AddSampler(sampler_group_, metric_prefix_ + ".write_amplification",
@@ -448,15 +365,8 @@ void HostFtlBlockDevice::PublishMetrics() {
   reg.GetCounter(p + ".gc.zones_reclaimed")->Set(stats_.zones_reclaimed);
   reg.GetCounter(p + ".gc.host_bus_bytes")->Set(stats_.gc_host_bus_bytes);
   reg.GetCounter(p + ".gc.forced_stalls")->Set(stats_.forced_gc_stalls);
-  const GcSchedStats& sched = scheduler_.stats();
-  reg.GetCounter(p + ".sched.decisions")->Set(sched.decisions);
-  reg.GetCounter(p + ".sched.allowed")->Set(sched.allowed);
-  reg.GetCounter(p + ".sched.critical_overrides")->Set(sched.critical_overrides);
-  reg.GetCounter(p + ".sched.denied")->Set(sched.denied);
-  reg.GetCounter(p + ".sched.runs")->Set(sched.runs);
-  reg.GetCounter(p + ".sched.forced_stall_ns")->Set(sched.forced_stall_ns);
-  reg.GetGauge(p + ".free_zones")->Set(static_cast<double>(FreeZones()));
-  reg.GetGauge(p + ".free_fraction")->Set(FreeFraction());
+  reclaimer_.PublishMetrics();
+  reg.GetCounter(p + ".sched.forced_stall_ns")->Set(scheduler().stats().forced_stall_ns);
   reg.GetGauge(p + ".write_amplification")->Set(EndToEndWriteAmplification());
   reg.GetGauge(p + ".host_mapping_bytes")->Set(static_cast<double>(HostMappingBytes()));
 }
@@ -490,10 +400,8 @@ Status HostFtlBlockDevice::CheckConsistency() const {
       live[dev_lba / zone_pages_]++;
     }
   }
-  for (std::uint32_t z = 0; z < device_->num_zones(); ++z) {
-    if (live[z] != zone_live_[z]) {
-      return Status(ErrorCode::kCorruption, "zone live counter drift");
-    }
+  if (!reclaimer_.LiveMatches(live)) {
+    return Status(ErrorCode::kCorruption, "zone live counter drift");
   }
   return Status::Ok();
 }

@@ -2,9 +2,9 @@
 // straightforward to implement the block interface on the host using ZNS SSDs").
 //
 // A log-structured host FTL: logical pages are appended to an open "host" zone; overwrites
-// invalidate the old location; reclamation picks the zone with the least live data, copies the
-// live pages to a separate relocation zone, and resets the victim. The pieces a conventional
-// SSD hides in firmware are all visible and tunable here:
+// invalidate the old location; the shared ZoneReclaimer (src/sched) picks the least-live zone
+// and this layer copies its live pages to a separate relocation zone before the reset. The
+// pieces a conventional SSD hides in firmware are all visible and tunable here:
 //
 //   * spare capacity is a host choice (op_fraction), not a hardware constant;
 //   * GC copies can ride the device's simple-copy command (no host PCIe traffic, §2.3) or the
@@ -22,6 +22,7 @@
 #include "src/block/block_device.h"
 #include "src/core/strong_id.h"
 #include "src/sched/gc_scheduler.h"
+#include "src/sched/zone_reclaimer.h"
 #include "src/util/status.h"
 #include "src/util/types.h"
 #include "src/zns/zns_device.h"
@@ -73,17 +74,15 @@ class HostFtlBlockDevice final : public BlockDevice {
   std::uint32_t block_size() const override { return device_->page_size(); }
 
   const HostFtlStats& stats() const { return stats_; }
-  const GcScheduler& scheduler() const { return scheduler_; }
+  const GcScheduler& scheduler() const { return reclaimer_.scheduler(); }
 
   // Registers HostFtlStats, scheduler tallies (`<prefix>.sched.*`) and space/DRAM gauges with
   // `telemetry`, plus per-op tracing spans (`<prefix>.read` / `<prefix>.write`) around host
   // I/O. Does NOT attach the underlying ZnsDevice — callers that own it attach it themselves
   // (with its own prefix) so shared-device setups stay unambiguous.
   //
-  // While attached, reclamation decisions are logged as events: kGcVictim when a victim zone
-  // is chosen, kGcCycle when it is fully drained and reset, and edge-triggered kGcWindow
-  // records from the scheduler under "<prefix>.sched". Each incremental relocation step
-  // becomes a "gc_step" maintenance slice on the "<prefix>.gc" timeline track, and
+  // While attached, reclamation logs the ZoneReclaimer's events (kGcVictim, kGcCycle, and
+  // kGcWindow under "<prefix>.sched") and "gc_step" slices on the "<prefix>.gc" track, and
   // "<prefix>.free_fraction" / "<prefix>.write_amplification" are sampled as timeline series.
   void AttachTelemetry(Telemetry* telemetry, std::string_view prefix = "hostftl");
 
@@ -93,8 +92,8 @@ class HostFtlBlockDevice final : public BlockDevice {
   std::uint32_t Pump(SimTime now, bool reads_pending, std::uint32_t max_cycles = 1);
 
   // Free zones available for new data.
-  std::uint64_t FreeZones() const { return free_zones_.size(); }
-  double FreeFraction() const;
+  std::uint64_t FreeZones() const { return reclaimer_.FreeZones(); }
+  double FreeFraction() const { return reclaimer_.FreeFraction(); }
 
   // End-to-end write amplification: physical flash programs / host logical writes.
   double EndToEndWriteAmplification() const;
@@ -114,34 +113,27 @@ class HostFtlBlockDevice final : public BlockDevice {
   // Appends one logical page; returns device completion.
   Result<SimTime> AppendPage(std::uint64_t lpn, SimTime issue,
                              std::span<const std::uint8_t> data);
-  // One incremental reclamation step (up to max_pages relocated); finalizes the victim (zone
-  // reset) once drained. Returns completion time or error if nothing is reclaimable.
+  // The reclaimer's step function: relocates up to max_pages live pages of the pending (or a
+  // new) victim and resets it once drained. Errors if nothing is reclaimable.
   Result<SimTime> GcStep(SimTime now, bool critical, std::uint32_t max_pages);
-  Result<SimTime> GcRunToCompletion(SimTime now, bool critical);
   void InvalidatePage(std::uint64_t lpn, SimTime now);
   bool DevicePageLive(std::uint64_t dev_lba) const;
-  std::uint32_t PickVictim(bool critical) const;
   void PublishMetrics();
 
   ZnsDevice* device_;
   HostFtlConfig config_;
-  GcScheduler scheduler_;
+  ZoneReclaimer reclaimer_;
 
   std::uint64_t logical_pages_ = 0;
   std::uint64_t zone_pages_ = 0;
 
-  std::vector<std::uint64_t> l2p_;        // Logical page -> device LBA.
-  std::vector<std::uint64_t> d2l_;        // Device LBA -> logical page.
-  std::vector<std::uint32_t> zone_live_;  // Live pages per zone.
-  std::vector<std::uint32_t> free_zones_;
-  static constexpr std::uint32_t kNoZone = ~0U;
+  std::vector<std::uint64_t> l2p_;  // Logical page -> device LBA.
+  std::vector<std::uint64_t> d2l_;  // Device LBA -> logical page.
+  static constexpr std::uint32_t kNoZone = ZoneReclaimer::kNoZone;
   std::uint32_t host_zone_ = kNoZone;   // Current zone receiving host writes.
   std::uint32_t reloc_zone_ = kNoZone;  // Current zone receiving GC copies.
-  // Incremental-reclamation state: the victim being drained and the scan position within it.
-  std::uint32_t gc_victim_ = kNoZone;
+  // Scan position within the pending victim (0 whenever none is pending).
   std::uint64_t gc_offset_ = 0;
-  // stats_.gc_pages_copied at victim selection (per-cycle copy count for the kGcCycle event).
-  std::uint64_t gc_cycle_copied_base_ = 0;
 
   HostFtlStats stats_;
   Telemetry* telemetry_ = nullptr;

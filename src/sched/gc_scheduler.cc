@@ -1,7 +1,5 @@
 #include "src/sched/gc_scheduler.h"
 
-#include "src/telemetry/event_log.h"
-
 namespace blockhead {
 
 const char* GcSchedPolicyName(GcSchedPolicy policy) {
@@ -18,30 +16,10 @@ const char* GcSchedPolicyName(GcSchedPolicy policy) {
   return "unknown";
 }
 
-void GcScheduler::AttachEvents(EventLog* events, std::string_view source) {
-  events_ = events;
-  source_ = std::string(source);
-  has_decision_ = false;  // The first decision after (re)attach is always an edge.
-}
-
-void GcScheduler::NoteDecision(bool run, SimTime now) const {
-  const bool changed = !has_decision_ || run != last_decision_;
-  has_decision_ = true;
-  last_decision_ = run;
-  if (events_ == nullptr || !changed) {
-    return;
-  }
-  events_->Append(now, TimelineEventType::kGcWindow, source_,
-                  std::string(run ? "window open" : "window closed") + " policy " +
-                      GcSchedPolicyName(config_.policy),
-                  run ? 1 : 0, 0);
-}
-
-bool GcScheduler::ShouldRun(double free_fraction, bool reads_pending, SimTime now) const {
+bool GcScheduler::ShouldRun(double free_fraction, bool reads_pending, SimTime now) {
   stats_.decisions++;
-  const auto allow = [this, now](bool yes) {
+  const auto allow = [this](bool yes) {
     (yes ? stats_.allowed : stats_.denied)++;
-    NoteDecision(yes, now);
     return yes;
   };
   // Space-critical reclamation is mandatory under every policy: running out of free zones

@@ -10,14 +10,10 @@
 #define BLOCKHEAD_SRC_SCHED_GC_SCHEDULER_H_
 
 #include <cstdint>
-#include <string>
-#include <string_view>
 
 #include "src/util/types.h"
 
 namespace blockhead {
-
-class EventLog;
 
 enum class GcSchedPolicy {
   // Reclaim only when space is critically low, synchronously with the triggering write.
@@ -43,7 +39,7 @@ struct GcSchedulerConfig {
   SimTime min_gc_interval = 2 * kMillisecond;
 };
 
-// Decision tallies, exported by the owning layer under `<prefix>.sched.*`.
+// Decision tallies, exported by ZoneReclaimer under `<prefix>.sched.*`.
 struct GcSchedStats {
   std::uint64_t decisions = 0;          // ShouldRun calls.
   std::uint64_t allowed = 0;            // ... that returned true.
@@ -62,12 +58,8 @@ class GcScheduler {
   const GcSchedulerConfig& config() const { return config_; }
   const GcSchedStats& stats() const { return stats_; }
 
-  // Mirrors decisions into `events` as edge-triggered kGcWindow records: one event whenever
-  // ShouldRun's answer flips (window opens or closes), not one per query. nullptr detaches.
-  void AttachEvents(EventLog* events, std::string_view source);
-
   // True if a reclamation cycle should run at `now`.
-  bool ShouldRun(double free_fraction, bool reads_pending, SimTime now) const;
+  bool ShouldRun(double free_fraction, bool reads_pending, SimTime now);
 
   // Record that a cycle ran (feeds the rate limiter).
   void NoteRun(SimTime now) {
@@ -87,19 +79,10 @@ class GcScheduler {
   }
 
  private:
-  // Appends a kGcWindow event if the decision differs from the previous one.
-  void NoteDecision(bool run, SimTime now) const;
-
   GcSchedulerConfig config_;
   SimTime last_run_ = 0;
   bool has_run_ = false;
-  // ShouldRun is logically const (a pure policy query); the tallies and the window-edge
-  // tracking are observability only.
-  mutable GcSchedStats stats_;
-  EventLog* events_ = nullptr;
-  std::string source_;
-  mutable bool has_decision_ = false;
-  mutable bool last_decision_ = false;
+  GcSchedStats stats_;
 };
 
 }  // namespace blockhead

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <limits>
+#include <functional>
 
 namespace blockhead {
 
@@ -16,6 +16,15 @@ constexpr std::uint8_t kRecCheckpoint = 3;
 constexpr std::uint8_t kRecBatch = 4;  // Concatenated (type u8 | len u32 | payload) records.
 // magic(4) + type(1) + seq(8) + total(4) + part(2) + parts(2) + payload_len(4)
 constexpr std::uint32_t kMetaHeaderBytes = 25;
+
+// Opportunistic (non-critical) compaction only touches zones at most this live: copying a
+// mostly-live zone costs more flash writes than the space it reclaims, and the relocated
+// fragments re-mix lifetimes. Critical (out-of-space) compaction ignores the threshold.
+constexpr double kGcMaxLiveFraction = 0.75;
+// Compaction is incremental: at most this many pages are relocated per Pump step, so
+// foreground reads interleave with reclamation instead of stalling behind a whole-zone copy
+// (§4.1: the host schedules GC around I/O — a knob no conventional SSD exposes).
+constexpr std::uint32_t kGcStepPages = 4;
 
 void PutU8(std::vector<std::uint8_t>& out, std::uint8_t v) { out.push_back(v); }
 void PutU16(std::vector<std::uint8_t>& out, std::uint16_t v) {
@@ -96,11 +105,10 @@ const char* LifetimeName(Lifetime hint) {
 ZoneFileSystem::ZoneFileSystem(ZnsDevice* device, const ZoneFileConfig& config)
     : device_(device),
       config_(config),
-      scheduler_(config.sched),
+      reclaimer_(device, config.sched, kFirstDataZone, kGcMaxLiveFraction, kGcStepPages),
       page_size_(device->page_size()),
       zone_pages_(device->zone_size_pages()),
-      frontier_(kLifetimeClasses, kNoZone),
-      zone_live_pages_(device->num_zones(), 0) {}
+      frontier_(kLifetimeClasses, kNoZone) {}
 
 Result<std::unique_ptr<ZoneFileSystem>> ZoneFileSystem::Format(ZnsDevice* device,
                                                                const ZoneFileConfig& config,
@@ -118,7 +126,7 @@ Result<std::unique_ptr<ZoneFileSystem>> ZoneFileSystem::Format(ZnsDevice* device
   }
   for (std::uint32_t z = device->num_zones(); z > kFirstDataZone; --z) {
     if (device->zone(ZoneId{z - 1}).state == ZoneState::kEmpty) {
-      fs->free_zones_.push_back(z - 1);
+      fs->reclaimer_.AddFreeZone(z - 1);
     }
   }
   // Initial empty checkpoint so Mount always finds one.
@@ -146,11 +154,6 @@ const ZoneFileSystem::FileMeta* ZoneFileSystem::Find(std::string_view name) cons
   return &files_.at(it->second);
 }
 
-double ZoneFileSystem::FreeFraction() const {
-  const std::uint32_t data_zones = device_->num_zones() - kFirstDataZone;
-  return static_cast<double>(free_zones_.size()) / static_cast<double>(data_zones);
-}
-
 bool ZoneFileSystem::IsFrontier(std::uint32_t zone_index) const {
   return std::find(frontier_.begin(), frontier_.end(), zone_index) != frontier_.end();
 }
@@ -158,19 +161,10 @@ bool ZoneFileSystem::IsFrontier(std::uint32_t zone_index) const {
 Result<std::uint32_t> ZoneFileSystem::AllocateZone(SimTime now) {
   // Mandatory compaction when free zones are critically low (not while already compacting:
   // the spare reserve guarantees relocation targets).
-  if (!in_gc_ && scheduler_.Critical(FreeFraction())) {
-    SimTime t = now;
-    while (scheduler_.Critical(FreeFraction())) {
-      Result<SimTime> done = GcRunToCompletion(t, /*critical=*/true);
-      if (!done.ok()) {
-        break;
-      }
-      t = done.value();
-    }
+  if (!in_gc_ && reclaimer_.Critical()) {
+    reclaimer_.RunWhileCritical(now, std::bind_front(&ZoneFileSystem::GcStep, this));
   }
-  while (!free_zones_.empty()) {
-    const std::uint32_t z = free_zones_.back();
-    free_zones_.pop_back();
+  for (std::uint32_t z = reclaimer_.TakeFreeZone(); z != kNoZone; z = reclaimer_.TakeFreeZone()) {
     const ZoneDescriptor d = device_->zone(ZoneId{z});
     if (d.state == ZoneState::kEmpty && d.capacity_pages > 0) {
       return z;
@@ -200,7 +194,7 @@ Result<std::uint32_t> ZoneFileSystem::FrontierFor(Lifetime hint, SimTime now) {
   // frontier for this class. Never overwrite a writable slot (that would orphan an open,
   // partially-written zone); hand the surplus zone back instead.
   if (frontier_[idx] != kNoZone && writable(frontier_[idx])) {
-    free_zones_.push_back(z.value());
+    reclaimer_.AddFreeZone(z.value());
     return frontier_[idx];
   }
   frontier_[idx] = z.value();
@@ -243,7 +237,7 @@ Result<SimTime> ZoneFileSystem::FlushTailPage(FileMeta& file, SimTime now, bool 
       const std::uint64_t pre = audit ? ExtentEntryHash(file.id, last) : 0;
       last.pages += 1;
       last.bytes += bytes;
-      zone_live_pages_[zone]++;
+      reclaimer_.AddLive(zone, 1);
       stats_.data_pages_flushed++;
       if (audit) {
         audit_files_->Replace(done.value(), pre, ExtentEntryHash(file.id, last));
@@ -252,7 +246,7 @@ Result<SimTime> ZoneFileSystem::FlushTailPage(FileMeta& file, SimTime now, bool 
     }
   }
   file.extents.push_back(Extent{dev_lba, 1, bytes});
-  zone_live_pages_[zone]++;
+  reclaimer_.AddLive(zone, 1);
   stats_.data_pages_flushed++;
   if (audit) {
     audit_files_->Insert(done.value(), ExtentEntryHash(file.id, file.extents.back()));
@@ -429,9 +423,7 @@ Result<SimTime> ZoneFileSystem::Delete(std::string_view name, SimTime now) {
   }
   const bool audit = audit_files_ != nullptr && audit_files_->armed();
   for (const Extent& ext : file->extents) {
-    const std::uint32_t zone = static_cast<std::uint32_t>(ext.dev_lba / zone_pages_);
-    assert(zone_live_pages_[zone] >= ext.pages);
-    zone_live_pages_[zone] -= ext.pages;
+    reclaimer_.DropLive(static_cast<std::uint32_t>(ext.dev_lba / zone_pages_), ext.pages);
     if (audit) {
       audit_files_->Remove(now, ExtentEntryHash(file->id, ext));
     }
@@ -479,33 +471,6 @@ std::vector<std::string> ZoneFileSystem::ListFiles() const {
   return out;
 }
 
-std::uint32_t ZoneFileSystem::PickVictim(bool critical) const {
-  std::uint32_t best = kNoZone;
-  std::uint32_t best_live = std::numeric_limits<std::uint32_t>::max();
-  for (std::uint32_t z = kFirstDataZone; z < device_->num_zones(); ++z) {
-    if (IsFrontier(z)) {
-      continue;
-    }
-    const ZoneDescriptor d = device_->zone(ZoneId{z});
-    if (d.state != ZoneState::kFull) {
-      continue;
-    }
-    if (zone_live_pages_[z] >= d.capacity_pages) {
-      continue;  // Fully live: compacting it reclaims nothing.
-    }
-    if (!critical &&
-        static_cast<double>(zone_live_pages_[z]) >
-            config_.gc_max_live_fraction * static_cast<double>(d.capacity_pages)) {
-      continue;  // Too live for opportunistic compaction to pay off.
-    }
-    if (zone_live_pages_[z] < best_live) {
-      best_live = zone_live_pages_[z];
-      best = z;
-    }
-  }
-  return best;
-}
-
 Status ZoneFileSystem::StartGcVictim(SimTime now, bool critical) {
   // Frontier slots are cleared lazily on the write path; do it here too so sealed zones are
   // eligible victims even when their lifetime class has gone quiet.
@@ -528,23 +493,12 @@ Status ZoneFileSystem::StartGcVictim(SimTime now, bool critical) {
       (void)device_->FinishZone(ZoneId{z}, now);
     }
   }
-  const std::uint32_t victim = PickVictim(critical);
-  if (victim == kNoZone) {
-    return Status(ErrorCode::kNoFreeBlocks, "no reclaimable zone");
-  }
-  gc_.victim = victim;
+  BLOCKHEAD_RETURN_IF_ERROR(
+      reclaimer_.BeginCycle(now, critical, frontier_, stats_.gc_pages_copied));
   gc_.items.clear();
   gc_.next = 0;
   gc_.touched_files.clear();
-  if (telemetry_ != nullptr) {
-    gc_cycle_copied_base_ = stats_.gc_pages_copied;
-    telemetry_->events.Append(now, TimelineEventType::kGcVictim, metric_prefix_,
-                              "victim zone " + std::to_string(victim) + " live " +
-                                  std::to_string(zone_live_pages_[victim]) +
-                                  (critical ? " critical" : ""),
-                              victim, zone_live_pages_[victim]);
-  }
-  const ZoneDescriptor vd = device_->zone(ZoneId{victim});
+  const ZoneDescriptor vd = device_->zone(ZoneId{reclaimer_.victim()});
   for (const auto& [id, file] : files_) {
     for (const Extent& ext : file.extents) {
       if (ext.dev_lba >= vd.start_lba.value() &&
@@ -563,14 +517,13 @@ Result<SimTime> ZoneFileSystem::GcStep(SimTime now, bool critical, std::uint32_t
   // zone-compaction work, not application data.
   WriteProvenance::CauseScope cause(ProvenanceOf(telemetry_), WriteCause::kZoneCompaction,
                                     StackLayer::kZoneFs);
-  if (gc_.victim == kNoZone) {
+  if (reclaimer_.victim() == kNoZone) {
     BLOCKHEAD_RETURN_IF_ERROR(StartGcVictim(now, critical));
   }
   in_gc_ = true;
   SimTime t = now;
   std::uint32_t budget = max_pages;
   const std::uint64_t copied_before_step = stats_.gc_pages_copied;
-  std::vector<std::uint8_t> page(page_size_);
 
   while (budget > 0 && gc_.next < gc_.items.size()) {
     GcWorkItem& item = gc_.items[gc_.next];
@@ -603,31 +556,14 @@ Result<SimTime> ZoneFileSystem::GcStep(SimTime now, bool critical, std::uint32_t
     const std::uint32_t chunk = std::min({item.pages, room, budget});
     const std::uint64_t dst_lba = (dd.start_lba + dd.write_pointer).value();
     const std::uint64_t src_lba = item.dev_lba;
-    if (config_.use_simple_copy) {
-      const CopyRange range{Lba{src_lba}, chunk};
-      Result<SimTime> done =
-          device_->SimpleCopy(std::span<const CopyRange>(&range, 1), ZoneId{dst_zone}, t);
-      if (!done.ok()) {
-        in_gc_ = false;
-        return done;
-      }
-      t = std::max(t, done.value());
-    } else {
-      for (std::uint32_t p = 0; p < chunk; ++p) {
-        Result<SimTime> r = device_->Read(Lba{src_lba + p}, 1, t, page);
-        if (!r.ok()) {
-          in_gc_ = false;
-          return r;
-        }
-        const ZoneDescriptor cur = device_->zone(ZoneId{dst_zone});
-        Result<SimTime> w = device_->Write(ZoneId{dst_zone}, cur.write_pointer, 1, r.value(), page);
-        if (!w.ok()) {
-          in_gc_ = false;
-          return w;
-        }
-        t = std::max(t, w.value());
-      }
+    const CopyRange range{Lba{src_lba}, chunk};
+    Result<SimTime> done =
+        device_->SimpleCopy(std::span<const CopyRange>(&range, 1), ZoneId{dst_zone}, t);
+    if (!done.ok()) {
+      in_gc_ = false;
+      return done;
     }
+    t = std::max(t, done.value());
     const std::uint64_t chunk_bytes = std::min<std::uint64_t>(
         static_cast<std::uint64_t>(chunk) * page_size_, item.bytes);
     // Splice the relocated chunk (and any remainder) in place of the tracked extent.
@@ -645,8 +581,8 @@ Result<SimTime> ZoneFileSystem::GcStep(SimTime now, bool critical, std::uint32_t
     if (audit) {
       audit_files_->Replace(t, pre, ExtentEntryHash(file.id, file.extents[idx]));
     }
-    zone_live_pages_[dst_zone] += chunk;
-    zone_live_pages_[gc_.victim] -= chunk;
+    reclaimer_.AddLive(dst_zone, chunk);
+    reclaimer_.DropLive(reclaimer_.victim(), chunk);
     stats_.gc_pages_copied += chunk;
     budget -= chunk;
     if (std::find(gc_.touched_files.begin(), gc_.touched_files.end(), item.file_id) ==
@@ -662,9 +598,7 @@ Result<SimTime> ZoneFileSystem::GcStep(SimTime now, bool critical, std::uint32_t
     }
   }
 
-  if (telemetry_ != nullptr && stats_.gc_pages_copied > copied_before_step) {
-    telemetry_->timeline.RecordMaintenance(metric_prefix_ + ".gc", "gc_step", now, t);
-  }
+  reclaimer_.NoteStep(now, t, stats_.gc_pages_copied - copied_before_step);
 
   if (gc_.next < gc_.items.size()) {
     in_gc_ = false;
@@ -673,7 +607,6 @@ Result<SimTime> ZoneFileSystem::GcStep(SimTime now, bool critical, std::uint32_t
 
   // Victim drained: journal the rewritten extent maps (one batched blob) before destroying
   // the old copies, then reset.
-  assert(zone_live_pages_[gc_.victim] == 0);
   if (!gc_.touched_files.empty()) {
     std::vector<std::uint8_t> batch;
     for (const std::uint32_t id : gc_.touched_files) {
@@ -693,53 +626,19 @@ Result<SimTime> ZoneFileSystem::GcStep(SimTime now, bool critical, std::uint32_t
     }
     t = logged.value();
   }
-  Result<SimTime> reset = device_->ResetZone(ZoneId{gc_.victim}, t);
+  Result<SimTime> reset = reclaimer_.FinishCycle(now, t, stats_.gc_pages_copied);
+  in_gc_ = false;
   if (!reset.ok()) {
-    in_gc_ = false;
     return reset;
-  }
-  t = reset.value();
-  if (device_->zone(ZoneId{gc_.victim}).state != ZoneState::kOffline) {
-    free_zones_.push_back(gc_.victim);
   }
   stats_.gc_cycles++;
   stats_.zones_reclaimed++;
-  scheduler_.NoteRun(now);
-  if (telemetry_ != nullptr) {
-    telemetry_->events.Append(
-        t, TimelineEventType::kGcCycle, metric_prefix_,
-        "cycle done zone " + std::to_string(gc_.victim) + " copied " +
-            std::to_string(stats_.gc_pages_copied - gc_cycle_copied_base_),
-        gc_.victim, stats_.gc_pages_copied - gc_cycle_copied_base_);
-    telemetry_->timeline.AdvanceGroup(sampler_group_, t);
-  }
-  gc_.victim = kNoZone;
-  gc_.items.clear();
-  gc_.touched_files.clear();
-  in_gc_ = false;
-  return t;
-}
-
-Result<SimTime> ZoneFileSystem::GcRunToCompletion(SimTime now, bool critical) {
-  return GcStep(now, critical, std::numeric_limits<std::uint32_t>::max());
+  return reset;  // StartGcVictim resets the work list for the next victim.
 }
 
 std::uint32_t ZoneFileSystem::Pump(SimTime now, bool reads_pending, std::uint32_t max_cycles) {
-  std::uint32_t ran = 0;
-  while (ran < max_cycles) {
-    const bool pending = gc_.victim != kNoZone;
-    if (!pending && !scheduler_.ShouldRun(FreeFraction(), reads_pending, now)) {
-      break;
-    }
-    Result<SimTime> done =
-        GcStep(now, scheduler_.Critical(FreeFraction()), config_.gc_step_pages);
-    if (!done.ok()) {
-      break;
-    }
-    now = done.value();
-    ++ran;
-  }
-  return ran;
+  return reclaimer_.Pump(now, reads_pending, max_cycles,
+                         std::bind_front(&ZoneFileSystem::GcStep, this));
 }
 
 ZoneFileSystem::~ZoneFileSystem() { AttachTelemetry(nullptr); }
@@ -749,7 +648,7 @@ void ZoneFileSystem::AttachTelemetry(Telemetry* telemetry, std::string_view pref
     PublishMetrics();
     telemetry_->registry.RemoveProvider(metric_prefix_);
     telemetry_->timeline.RemoveSamplerGroup(metric_prefix_);
-    scheduler_.AttachEvents(nullptr, "");
+    reclaimer_.AttachTelemetry(nullptr, "", -1);
     sampler_group_ = -1;
   }
   telemetry_ = telemetry;
@@ -766,8 +665,8 @@ void ZoneFileSystem::AttachTelemetry(Telemetry* telemetry, std::string_view pref
   telemetry_->registry.AddProvider(metric_prefix_, [this] { PublishMetrics(); });
   audit_files_ = telemetry_->audit.Register(metric_prefix_ + ".extents");
   provenance_ingress_ = telemetry_->provenance.RegisterDomain(metric_prefix_);
-  scheduler_.AttachEvents(&telemetry_->events, metric_prefix_ + ".sched");
   sampler_group_ = telemetry_->timeline.AddSamplerGroup(metric_prefix_);
+  reclaimer_.AttachTelemetry(telemetry_, metric_prefix_, sampler_group_);
   telemetry_->timeline.AddSampler(sampler_group_, metric_prefix_ + ".free_fraction",
                                   Timeline::SampleKind::kInstant,
                                   [this](SimTime) { return FreeFraction(); });
@@ -789,14 +688,7 @@ void ZoneFileSystem::PublishMetrics() {
   reg.GetCounter(p + ".gc.cycles")->Set(stats_.gc_cycles);
   reg.GetCounter(p + ".gc.pages_copied")->Set(stats_.gc_pages_copied);
   reg.GetCounter(p + ".gc.zones_reclaimed")->Set(stats_.zones_reclaimed);
-  const GcSchedStats& sched = scheduler_.stats();
-  reg.GetCounter(p + ".sched.decisions")->Set(sched.decisions);
-  reg.GetCounter(p + ".sched.allowed")->Set(sched.allowed);
-  reg.GetCounter(p + ".sched.critical_overrides")->Set(sched.critical_overrides);
-  reg.GetCounter(p + ".sched.denied")->Set(sched.denied);
-  reg.GetCounter(p + ".sched.runs")->Set(sched.runs);
-  reg.GetGauge(p + ".free_zones")->Set(static_cast<double>(FreeZones()));
-  reg.GetGauge(p + ".free_fraction")->Set(FreeFraction());
+  reclaimer_.PublishMetrics();
   reg.GetGauge(p + ".write_amplification")->Set(EndToEndWriteAmplification());
 }
 
@@ -1103,7 +995,8 @@ Result<std::unique_ptr<ZoneFileSystem>> ZoneFileSystem::Mount(ZnsDevice* device,
   // frontiers) -> sealed so GC can reclaim the orphaned pages.
   for (const auto& [id, file] : fs->files_) {
     for (const Extent& ext : file.extents) {
-      fs->zone_live_pages_[ext.dev_lba / fs->zone_pages_] += ext.pages;
+      fs->reclaimer_.AddLive(static_cast<std::uint32_t>(ext.dev_lba / fs->zone_pages_),
+                             ext.pages);
     }
   }
   for (std::uint32_t z = device->num_zones(); z > kFirstDataZone; --z) {
@@ -1111,7 +1004,7 @@ Result<std::unique_ptr<ZoneFileSystem>> ZoneFileSystem::Mount(ZnsDevice* device,
     const ZoneDescriptor d = device->zone(ZoneId{zone});
     switch (d.state) {
       case ZoneState::kEmpty:
-        fs->free_zones_.push_back(zone);
+        fs->reclaimer_.AddFreeZone(zone);
         break;
       case ZoneState::kImplicitOpen:
       case ZoneState::kExplicitOpen:
@@ -1119,7 +1012,7 @@ Result<std::unique_ptr<ZoneFileSystem>> ZoneFileSystem::Mount(ZnsDevice* device,
         if (d.write_pointer == 0) {
           Result<SimTime> reset = device->ResetZone(ZoneId{zone}, now);
           if (reset.ok()) {
-            fs->free_zones_.push_back(zone);
+            fs->reclaimer_.AddFreeZone(zone);
           }
         } else {
           (void)device->FinishZone(ZoneId{zone}, now);
@@ -1152,10 +1045,9 @@ Status ZoneFileSystem::CheckConsistency() const {
       return Status(ErrorCode::kCorruption, "file size mismatch");
     }
   }
-  for (std::uint32_t z = kFirstDataZone; z < device_->num_zones(); ++z) {
-    if (live[z] != zone_live_pages_[z]) {
-      return Status(ErrorCode::kCorruption, "zone live-page counter drift");
-    }
+  // Metadata zones hold no extents (checked above), so their counts are zero on both sides.
+  if (!reclaimer_.LiveMatches(live)) {
+    return Status(ErrorCode::kCorruption, "zone live-page counter drift");
   }
   return Status::Ok();
 }

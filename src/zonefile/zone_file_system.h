@@ -5,8 +5,8 @@
 //     together are written to the same zones, so a whole zone usually dies at once and can be
 //     reset without copying — the mechanism behind the paper's 5x -> ~1.2x LSM write-
 //     amplification claim;
-//   * host-scheduled zone compaction (GC) for zones that end up with a mix of live and dead
-//     extents, using simple copy when available;
+//   * host-scheduled zone compaction (GC, on the shared ZoneReclaimer in src/sched) for zones
+//     that end up with a mix of live and dead extents, relocated with simple copy;
 //   * a crash-consistent metadata journal: zones 0 and 1 alternate between a checkpoint and an
 //     append-only record log, so the filesystem can be remounted after a crash with all synced
 //     data intact.
@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "src/sched/gc_scheduler.h"
+#include "src/sched/zone_reclaimer.h"
 #include "src/util/status.h"
 #include "src/util/types.h"
 #include "src/zns/zns_device.h"
@@ -42,21 +43,11 @@ inline constexpr std::uint32_t kLifetimeClasses = 5;
 const char* LifetimeName(Lifetime hint);
 
 struct ZoneFileConfig {
-  // Copy surviving extents with the device simple-copy command during zone compaction.
-  bool use_simple_copy = true;
   // If nonzero: when Sync completes a file and its class's write frontier has at most this
   // many pages left, finish the zone (accepting a little dead space) so the next file starts
   // in a fresh zone. This is ZenFS's discipline for zone-sized files — it keeps one file per
   // zone so zones expire wholesale.
   std::uint32_t finish_remainder_pages = 0;
-  // Opportunistic (non-critical) compaction only touches zones at most this live: copying a
-  // mostly-live zone costs more flash writes than the space it reclaims, and the relocated
-  // fragments re-mix lifetimes. Critical (out-of-space) compaction ignores the threshold.
-  double gc_max_live_fraction = 0.75;
-  // Compaction is incremental: at most this many pages are relocated per Pump step, so
-  // foreground reads interleave with reclamation instead of stalling behind a whole-zone copy
-  // (§4.1: the host schedules GC around I/O — a knob no conventional SSD exposes).
-  std::uint32_t gc_step_pages = 4;
   GcSchedulerConfig sched;
 };
 
@@ -110,8 +101,8 @@ class ZoneFileSystem {
   std::uint32_t Pump(SimTime now, bool reads_pending, std::uint32_t max_cycles = 1);
 
   const ZoneFileStats& stats() const { return stats_; }
-  std::uint64_t FreeZones() const { return free_zones_.size(); }
-  double FreeFraction() const;
+  std::uint64_t FreeZones() const { return reclaimer_.FreeZones(); }
+  double FreeFraction() const { return reclaimer_.FreeFraction(); }
   // Physical flash programs per byte of file data appended, normalized to pages.
   double EndToEndWriteAmplification() const;
 
@@ -119,11 +110,9 @@ class ZoneFileSystem {
   // `telemetry`, plus per-op tracing spans (`<prefix>.append` / `<prefix>.read`) around file
   // I/O. The underlying ZnsDevice is attached separately by its owner.
   //
-  // While attached, file lifecycle (create/seal/delete), compaction victim selections
-  // (kGcVictim), completed cycles (kGcCycle) and edge-triggered scheduler windows
-  // ("<prefix>.sched") land in the event log; each relocation burst becomes a "gc_step"
-  // maintenance slice on the "<prefix>.gc" track, and "<prefix>.free_fraction" /
-  // "<prefix>.write_amplification" are sampled as timeline series.
+  // While attached, file lifecycle (create/seal/delete) and the ZoneReclaimer's events and
+  // "gc_step" slices (see HostFtlBlockDevice::AttachTelemetry) are logged, and
+  // "<prefix>.free_fraction" / "<prefix>.write_amplification" are sampled as timeline series.
   void AttachTelemetry(Telemetry* telemetry, std::string_view prefix = "zonefile");
 
   // Validates live-page accounting against the extent maps. For tests.
@@ -133,7 +122,7 @@ class ZoneFileSystem {
   static constexpr std::uint32_t kMetaZoneA = 0;
   static constexpr std::uint32_t kMetaZoneB = 1;
   static constexpr std::uint32_t kFirstDataZone = 2;
-  static constexpr std::uint32_t kNoZone = ~0U;
+  static constexpr std::uint32_t kNoZone = ZoneReclaimer::kNoZone;
 
   struct Extent {
     std::uint64_t dev_lba = 0;
@@ -164,13 +153,11 @@ class ZoneFileSystem {
   Result<std::uint32_t> AllocateZone(SimTime now);
   bool IsFrontier(std::uint32_t zone_index) const;
 
-  // One incremental compaction step: starts a victim if none is pending, relocates up to
+  // The reclaimer's step function: starts a victim if none is pending, relocates up to
   // `max_pages` live pages, and finalizes (journal + reset) when the victim is drained.
   Result<SimTime> GcStep(SimTime now, bool critical, std::uint32_t max_pages);
-  // Runs a pending (or new) victim to completion. Used on the critical allocation path.
-  Result<SimTime> GcRunToCompletion(SimTime now, bool critical);
+  // Sweeps sealed frontiers and stray open zones, then starts a cycle and queues its extents.
   Status StartGcVictim(SimTime now, bool critical);
-  std::uint32_t PickVictim(bool critical) const;
   void PublishMetrics();
 
   // --- Metadata journal ---
@@ -186,7 +173,7 @@ class ZoneFileSystem {
 
   ZnsDevice* device_;
   ZoneFileConfig config_;
-  GcScheduler scheduler_;
+  ZoneReclaimer reclaimer_;
   std::uint32_t page_size_ = 0;
   std::uint64_t zone_pages_ = 0;
 
@@ -194,15 +181,13 @@ class ZoneFileSystem {
   std::map<std::uint32_t, FileMeta> files_;
   std::uint32_t next_file_id_ = 1;
 
-  std::vector<std::uint32_t> free_zones_;
   std::vector<std::uint32_t> frontier_;  // Indexed by lifetime class.
-  std::vector<std::uint32_t> zone_live_pages_;
 
   std::uint32_t meta_zone_ = kMetaZoneA;
   std::uint64_t meta_seq_ = 0;
   bool in_gc_ = false;  // Guards against forced-GC recursion while relocating extents.
 
-  // In-flight incremental compaction state.
+  // Relocation state of the reclaimer's pending victim.
   struct GcWorkItem {
     std::uint32_t file_id = 0;
     std::uint64_t dev_lba = 0;
@@ -210,7 +195,6 @@ class ZoneFileSystem {
     std::uint64_t bytes = 0;
   };
   struct GcPending {
-    std::uint32_t victim = kNoZone;
     std::vector<GcWorkItem> items;
     std::size_t next = 0;
     std::vector<std::uint32_t> touched_files;
@@ -227,8 +211,6 @@ class ZoneFileSystem {
   // Application bytes accepted by Append, accumulated into the provenance ledger's domain
   // "<prefix>" as a link in the factorized-WA chain.
   Bytes* provenance_ingress_ = nullptr;
-  // stats_.gc_pages_copied at victim selection (per-cycle copy count for the kGcCycle event).
-  std::uint64_t gc_cycle_copied_base_ = 0;
 
   // State-digest audit of the file map ("<prefix>.extents"): one entry per extent hashing
   // (file id, device LBA, pages, bytes) plus one per file hashing (id, hint, synced size).

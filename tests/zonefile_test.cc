@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "src/telemetry/telemetry.h"
 #include "src/util/rng.h"
 #include "src/zonefile/zone_file_system.h"
 
@@ -232,6 +233,60 @@ TEST_F(ZoneFileTest, CompactionPreservesContent) {
   std::vector<std::uint8_t> out(live_content.size());
   ASSERT_TRUE(fs_->Read("live", 0, out, t).ok());
   EXPECT_EQ(out, live_content);
+  EXPECT_TRUE(fs_->CheckConsistency().ok());
+}
+
+// A kGcCycle event reports the pages copied in its own cycle, even when an earlier cycle ran
+// with telemetry detached and telemetry was attached while the victim was already pending.
+TEST_F(ZoneFileTest, GcCycleEventCountsOnlyItsOwnCopies) {
+  ZoneFileConfig eager;
+  eager.sched.low_free_fraction = 1.0;
+  {
+    auto fs = ZoneFileSystem::Format(device_.get(), eager, 0);
+    ASSERT_TRUE(fs.ok());
+    fs_ = std::move(fs).value();
+  }
+  // Interleave a dead and a live file over three zones, so every sealed zone is half live.
+  ASSERT_TRUE(fs_->Create("dead", Lifetime::kNone, 0).ok());
+  ASSERT_TRUE(fs_->Create("live", Lifetime::kNone, 0).ok());
+  SimTime t = 0;
+  const std::uint64_t zone_pages = device_->zone_size_pages();
+  for (std::uint64_t i = 0; i < 3 * zone_pages / 2; ++i) {
+    auto a = fs_->Append("dead", Bytes(4096, 1), t);
+    ASSERT_TRUE(a.ok());
+    auto b = fs_->Append("live", Bytes(4096, 2), a.value());
+    ASSERT_TRUE(b.ok());
+    t = b.value();
+  }
+  ASSERT_TRUE(fs_->Sync("dead", t).ok());
+  ASSERT_TRUE(fs_->Sync("live", t).ok());
+  ASSERT_TRUE(fs_->Delete("dead", t).ok());
+
+  // First cycle, detached.
+  for (int i = 0; i < 1000 && fs_->stats().gc_cycles == 0; ++i) {
+    ASSERT_EQ(fs_->Pump(t, false, 1), 1u);
+  }
+  ASSERT_EQ(fs_->stats().gc_cycles, 1u);
+  const std::uint64_t copied_before_second = fs_->stats().gc_pages_copied;
+  ASSERT_GT(copied_before_second, 0u);
+  // One step of the second cycle, still detached: its victim is now pending.
+  ASSERT_EQ(fs_->Pump(t, false, 1), 1u);
+  ASSERT_EQ(fs_->stats().gc_cycles, 1u);
+  ASSERT_GT(fs_->stats().gc_pages_copied, copied_before_second);
+
+  Telemetry tel;
+  fs_->AttachTelemetry(&tel);
+  for (int i = 0; i < 1000 && fs_->stats().gc_cycles == 1; ++i) {
+    ASSERT_EQ(fs_->Pump(t, false, 1), 1u);
+  }
+  ASSERT_EQ(fs_->stats().gc_cycles, 2u);
+  const std::vector<TimelineEvent> cycles = tel.events.Page(TimelineEventType::kGcCycle);
+  ASSERT_EQ(cycles.size(), 1u);
+  const std::uint64_t copied = fs_->stats().gc_pages_copied - copied_before_second;
+  EXPECT_EQ(cycles[0].arg1, copied);
+  EXPECT_NE(cycles[0].detail.find(" copied " + std::to_string(copied)), std::string::npos)
+      << cycles[0].detail;
+  fs_->AttachTelemetry(nullptr);
   EXPECT_TRUE(fs_->CheckConsistency().ok());
 }
 
