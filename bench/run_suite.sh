@@ -84,6 +84,7 @@ benches=(
   "bench_fleet 42"
   "bench_interference 7"
   "bench_sched_policies 17"
+  "bench_dram_overhead 0"
 )
 
 # Perf subset: the gate reruns each bench PERF_REPEATS times, so only the fast benches
