@@ -8,6 +8,7 @@
 #define BLOCKHEAD_SRC_FLASH_GEOMETRY_H_
 
 #include <cstdint>
+#include <limits>
 
 #include "src/core/strong_id.h"
 #include "src/util/status.h"
@@ -39,6 +40,15 @@ struct FlashGeometry {
     if (channels == 0 || planes_per_channel == 0 || blocks_per_plane == 0 ||
         pages_per_block == 0 || page_size == 0) {
       return Status(ErrorCode::kInvalidArgument, "all geometry dimensions must be nonzero");
+    }
+    // Flat page indices must fit the FTLs' 4-byte mapping entries, below the all-ones
+    // sentinel (src/ftl/page_map.h). Partial products stay below 2^32, so none wraps.
+    std::uint64_t pages = 1;
+    for (const std::uint32_t dim :
+         {channels, planes_per_channel, blocks_per_plane, pages_per_block}) {
+      if ((pages *= dim) >= std::numeric_limits<std::uint32_t>::max()) {
+        return Status(ErrorCode::kInvalidArgument, "total pages must be below 2^32 - 1");
+      }
     }
     return Status::Ok();
   }
@@ -96,16 +106,20 @@ inline Ppa FlatPageIndex(const FlashGeometry& g, const PhysAddr& a) {
   return Ppa{FlatBlockIndex(g, a) * g.pages_per_block + a.page.value()};
 }
 
-// Inverse of FlatPageIndex.
-inline PhysAddr AddrFromFlatPage(const FlashGeometry& g, Ppa ppa) {
-  const std::uint64_t flat = ppa.value();
+// Inverse of FlatBlockIndex (page 0 of the block).
+inline PhysAddr AddrFromFlatBlock(const FlashGeometry& g, std::uint64_t block_flat) {
   PhysAddr a;
-  a.page = PageId{static_cast<std::uint32_t>(flat % g.pages_per_block)};
-  const std::uint64_t block_flat = flat / g.pages_per_block;
   a.block = BlockId{static_cast<std::uint32_t>(block_flat % g.blocks_per_plane)};
   const std::uint64_t plane_flat = block_flat / g.blocks_per_plane;
   a.plane = PlaneId{static_cast<std::uint32_t>(plane_flat % g.planes_per_channel)};
   a.channel = ChannelId{static_cast<std::uint32_t>(plane_flat / g.planes_per_channel)};
+  return a;
+}
+
+// Inverse of FlatPageIndex.
+inline PhysAddr AddrFromFlatPage(const FlashGeometry& g, Ppa ppa) {
+  PhysAddr a = AddrFromFlatBlock(g, ppa.value() / g.pages_per_block);
+  a.page = PageId{static_cast<std::uint32_t>(ppa.value() % g.pages_per_block)};
   return a;
 }
 

@@ -8,21 +8,6 @@
 
 namespace blockhead {
 
-namespace {
-
-// Decomposes a flat block index into its (channel, plane, block) coordinates.
-PhysAddr BlockAddrFromFlat(const FlashGeometry& g, std::uint64_t flat_block) {
-  PhysAddr a;
-  a.page = PageId{0};
-  a.block = BlockId{static_cast<std::uint32_t>(flat_block % g.blocks_per_plane)};
-  const std::uint64_t plane_flat = flat_block / g.blocks_per_plane;
-  a.plane = PlaneId{static_cast<std::uint32_t>(plane_flat % g.planes_per_channel)};
-  a.channel = ChannelId{static_cast<std::uint32_t>(plane_flat / g.planes_per_channel)};
-  return a;
-}
-
-}  // namespace
-
 ConventionalSsd::ConventionalSsd(const FlashConfig& flash_config, const FtlConfig& ftl_config)
     : flash_(flash_config), config_(ftl_config) {
   const FlashGeometry& g = flash_.geometry();
@@ -33,15 +18,12 @@ ConventionalSsd::ConventionalSsd(const FlashConfig& flash_config, const FtlConfi
   const double op = std::max(0.0, config_.op_fraction);
   const std::uint64_t op_pages =
       static_cast<std::uint64_t>(static_cast<double>(total_pages) / (1.0 + op));
-  logical_pages_ = std::min(op_pages, total_pages - reserve_pages);
+  const std::uint64_t logical_pages = std::min(op_pages, total_pages - reserve_pages);
 
-  gc_trigger_blocks_ = config_.gc_trigger_free_blocks != 0 ? config_.gc_trigger_free_blocks
-                                                           : 2 * g.total_planes();
-  gc_target_blocks_ = config_.gc_free_target_blocks != 0 ? config_.gc_free_target_blocks
-                                                         : gc_trigger_blocks_ + g.total_planes();
+  gc_trigger_blocks_ = 2 * g.total_planes();
+  gc_target_blocks_ = gc_trigger_blocks_ + g.total_planes();
 
-  l2p_.assign(logical_pages_, kUnmapped);
-  p2l_.assign(total_pages, kUnmapped);
+  map_ = PageMap(logical_pages, total_pages);
   block_meta_.assign(g.total_blocks(), BlockMeta{});
   config_.num_streams = std::max<std::uint32_t>(1, config_.num_streams);
   planes_.resize(g.total_planes());
@@ -66,24 +48,14 @@ ConventionalSsd::ConventionalSsd(const FlashConfig& flash_config, const FtlConfi
   }
 }
 
-bool ConventionalSsd::PageValid(std::uint64_t ppn) const {
-  const std::uint64_t lpn = p2l_[ppn];
-  return lpn != kUnmapped && l2p_[lpn] == ppn;
-}
-
 void ConventionalSsd::InvalidatePage(std::uint64_t lpn, SimTime now) {
-  const std::uint64_t old = l2p_[lpn];
-  if (old == kUnmapped) {
+  const PageMap::Entry old = map_.Unmap(lpn, now);
+  if (old == PageMap::kUnmapped) {
     return;
   }
-  const std::uint64_t block = old / flash_.geometry().pages_per_block;
-  assert(block_meta_[block].valid_pages > 0);
-  block_meta_[block].valid_pages--;
-  p2l_[old] = kUnmapped;
-  l2p_[lpn] = kUnmapped;
-  if (audit_l2p_ != nullptr && audit_l2p_->armed()) {
-    audit_l2p_->Remove(now, L2pEntryHash(lpn, old));
-  }
+  BlockMeta& meta = block_meta_[old / flash_.geometry().pages_per_block];
+  assert(meta.valid_pages > 0);
+  meta.valid_pages--;
 }
 
 std::uint32_t ConventionalSsd::TakeFreeBlock(std::uint32_t plane_index) {
@@ -177,27 +149,23 @@ Result<SimTime> ConventionalSsd::AppendPage(std::uint64_t lpn, SimTime issue,
   InvalidatePage(lpn, done.value());
   const FlashGeometry& g = flash_.geometry();
   const std::uint64_t ppn = FlatPageIndex(g, addr).value();
-  const std::uint64_t block = ppn / g.pages_per_block;
-  l2p_[lpn] = ppn;
-  p2l_[ppn] = lpn;
-  if (audit_l2p_ != nullptr && audit_l2p_->armed()) {
-    audit_l2p_->Insert(done.value(), L2pEntryHash(lpn, ppn));
-  }
-  block_meta_[block].valid_pages++;
-  block_meta_[block].last_write = done.value();
+  map_.Map(lpn, ppn, done.value());
+  BlockMeta& meta = block_meta_[ppn / g.pages_per_block];
+  meta.valid_pages++;
+  meta.last_write = done.value();
   return done;
 }
 
 std::uint64_t ConventionalSsd::PickVictim(SimTime now, bool wear_migration) {
   const FlashGeometry& g = flash_.geometry();
   const std::uint32_t ppb = g.pages_per_block;
-  std::uint64_t best = kUnmapped;
+  std::uint64_t best = kNoVictim;
   double best_score = -1.0;
   // Audit divergence-injection hook (see perturb_gc_at_): when armed, track the runner-up
   // and return it instead of the winner, once. The greedy dead-block shortcut is skipped in
   // that one scan so a runner-up exists to return.
   const bool perturb = perturb_pending_ && !wear_migration && now >= perturb_gc_at_;
-  std::uint64_t second = kUnmapped;
+  std::uint64_t second = kNoVictim;
   double second_score = -1.0;
 
   // Scan from a rotating start: a fixed scan order breaks score ties toward the lowest block
@@ -210,7 +178,7 @@ std::uint64_t ConventionalSsd::PickVictim(SimTime now, bool wear_migration) {
     if (meta.open) {
       continue;
     }
-    const PhysAddr addr = BlockAddrFromFlat(g, flat);
+    const PhysAddr addr = AddrFromFlatBlock(g, flat);
     const BlockStatus status = flash_.block_status(addr.channel, addr.plane, addr.block);
     if (status.bad || status.next_page < ppb) {
       continue;  // Only full blocks are victims; partial blocks are free-pool or frontiers.
@@ -248,14 +216,14 @@ std::uint64_t ConventionalSsd::PickVictim(SimTime now, bool wear_migration) {
     }
   }
 
-  if (perturb && second != kUnmapped) {
+  if (perturb && second != kNoVictim) {
     perturb_pending_ = false;
     return second;
   }
-  if (!wear_migration && best != kUnmapped &&
+  if (!wear_migration && best != kNoVictim &&
       block_meta_[best].valid_pages >= ppb) {
     // All full blocks are fully valid: GC would gain nothing.
-    return kUnmapped;
+    return kNoVictim;
   }
   return best;
 }
@@ -266,10 +234,10 @@ Result<SimTime> ConventionalSsd::GcCycle(SimTime now) {
       config_.wear_leveling && config_.wear_migrate_interval != 0 &&
       ++gc_cycles_since_wear_check_ % config_.wear_migrate_interval == 0;
   std::uint64_t victim = PickVictim(now, wear_migration);
-  if (victim == kUnmapped && wear_migration) {
+  if (victim == kNoVictim && wear_migration) {
     victim = PickVictim(now, false);
   }
-  if (victim == kUnmapped) {
+  if (victim == kNoVictim) {
     return ErrorCode::kNoFreeBlocks;
   }
 
@@ -279,7 +247,7 @@ Result<SimTime> ConventionalSsd::GcCycle(SimTime now) {
       wear_migration ? WriteCause::kWearMigration : WriteCause::kDeviceGC, StackLayer::kFtl);
 
   const FlashGeometry& g = flash_.geometry();
-  const PhysAddr victim_addr = BlockAddrFromFlat(g, victim);
+  const PhysAddr victim_addr = AddrFromFlatBlock(g, victim);
   const std::uint64_t first_ppn = victim * g.pages_per_block;
   SimTime last_done = now;
   const std::uint64_t copied_before = stats_.gc_pages_copied;
@@ -303,10 +271,9 @@ Result<SimTime> ConventionalSsd::GcCycle(SimTime now) {
   std::uint32_t in_batch = 0;
   for (std::uint32_t p = 0; p < g.pages_per_block; ++p) {
     const std::uint64_t ppn = first_ppn + p;
-    if (!PageValid(ppn)) {
+    if (!map_.Live(ppn)) {
       continue;
     }
-    const std::uint64_t lpn = p2l_[ppn];
     Result<PhysAddr> slot = NextSlot(now, /*gc_write=*/true, /*stream=*/0);
     if (!slot.ok()) {
       return slot.status();
@@ -325,18 +292,12 @@ Result<SimTime> ConventionalSsd::GcCycle(SimTime now) {
       return done;
     }
     last_done = std::max(last_done, done.value());
-    // Remap.
     const std::uint64_t new_ppn = FlatPageIndex(g, slot.value()).value();
-    const std::uint64_t new_block = new_ppn / g.pages_per_block;
-    l2p_[lpn] = new_ppn;
-    p2l_[new_ppn] = lpn;
-    p2l_[ppn] = kUnmapped;
-    if (audit_l2p_ != nullptr && audit_l2p_->armed()) {
-      audit_l2p_->Replace(done.value(), L2pEntryHash(lpn, ppn), L2pEntryHash(lpn, new_ppn));
-    }
+    map_.Move(ppn, new_ppn, done.value());
+    BlockMeta& dest = block_meta_[new_ppn / g.pages_per_block];
     block_meta_[victim].valid_pages--;
-    block_meta_[new_block].valid_pages++;
-    block_meta_[new_block].last_write = done.value();
+    dest.valid_pages++;
+    dest.last_write = done.value();
     stats_.gc_pages_copied++;
   }
   assert(block_meta_[victim].valid_pages == 0);
@@ -345,10 +306,6 @@ Result<SimTime> ConventionalSsd::GcCycle(SimTime now) {
       flash_.EraseBlock(victim_addr.channel, victim_addr.plane, victim_addr.block, last_done);
   if (!erased.ok()) {
     return erased;
-  }
-  // Clear any stale reverse mappings (invalid pages).
-  for (std::uint32_t p = 0; p < g.pages_per_block; ++p) {
-    p2l_[first_ppn + p] = kUnmapped;
   }
   stats_.gc_runs++;
   if (wear_migration) {
@@ -449,7 +406,7 @@ void ConventionalSsd::AttachTelemetry(Telemetry* telemetry, std::string_view pre
   telemetry_ = telemetry;
   if (telemetry_ == nullptr) {
     flash_.AttachTelemetry(nullptr);
-    audit_l2p_ = nullptr;
+    map_.AttachAudit(nullptr);
     sampler_group_ = -1;
     write_span_ = nullptr;
     read_span_ = nullptr;
@@ -458,7 +415,7 @@ void ConventionalSsd::AttachTelemetry(Telemetry* telemetry, std::string_view pre
   metric_prefix_ = std::string(prefix);
   write_span_ = telemetry_->tracer.Intern(metric_prefix_ + ".ftl.write");
   read_span_ = telemetry_->tracer.Intern(metric_prefix_ + ".ftl.read");
-  audit_l2p_ = telemetry_->audit.Register(metric_prefix_ + ".ftl.l2p");
+  map_.AttachAudit(telemetry_->audit.Register(metric_prefix_ + ".ftl.l2p"));
   flash_.AttachTelemetry(telemetry_, metric_prefix_ + ".flash");
   telemetry_->registry.AddProvider(metric_prefix_ + ".ftl", [this] { PublishMetrics(); });
 
@@ -497,7 +454,7 @@ Result<SimTime> ConventionalSsd::WriteBlocksStream(Lba lba, std::uint32_t count,
                                                    std::span<const std::uint8_t> data) {
   SelfProfiler::Scope prof_scope(ProfilerOf(telemetry_), ProfSubsystem::kFtl, ProfOp::kWrite);
   stream = std::min(stream, config_.num_streams - 1);
-  if (lba.value() + count > logical_pages_) {
+  if (lba.value() + count > num_blocks()) {
     return ErrorCode::kOutOfRange;
   }
   const std::uint32_t page_size = flash_.geometry().page_size;
@@ -538,7 +495,7 @@ Result<SimTime> ConventionalSsd::WriteBlocksStream(Lba lba, std::uint32_t count,
 Result<SimTime> ConventionalSsd::ReadBlocks(Lba lba, std::uint32_t count, SimTime issue,
                                             std::span<std::uint8_t> out) {
   SelfProfiler::Scope prof_scope(ProfilerOf(telemetry_), ProfSubsystem::kFtl, ProfOp::kRead);
-  if (lba.value() + count > logical_pages_) {
+  if (lba.value() + count > num_blocks()) {
     return ErrorCode::kOutOfRange;
   }
   const std::uint32_t page_size = flash_.geometry().page_size;
@@ -555,9 +512,9 @@ Result<SimTime> ConventionalSsd::ReadBlocks(Lba lba, std::uint32_t count, SimTim
     if (!out.empty()) {
       page_out = out.subspan(static_cast<std::size_t>(i) * page_size, page_size);
     }
-    const std::uint64_t ppn = l2p_[lba.value() + i];
+    const PageMap::Entry ppn = map_.Lookup(lba.value() + i);
     stats_.host_pages_read++;
-    if (ppn == kUnmapped) {
+    if (ppn == PageMap::kUnmapped) {
       // Never-written LBA: served from the controller without touching flash.
       if (!page_out.empty()) {
         std::memset(page_out.data(), 0, page_out.size());
@@ -582,13 +539,13 @@ Result<SimTime> ConventionalSsd::ReadBlocks(Lba lba, std::uint32_t count, SimTim
 
 Result<SimTime> ConventionalSsd::TrimBlocks(Lba lba, std::uint32_t count, SimTime issue) {
   SelfProfiler::Scope prof_scope(ProfilerOf(telemetry_), ProfSubsystem::kFtl, ProfOp::kOther);
-  if (lba.value() + count > logical_pages_) {
+  if (lba.value() + count > num_blocks()) {
     return ErrorCode::kOutOfRange;
   }
   RequestPathLedger::RequestScope req_scope(ForegroundReqPathOf(telemetry_),
                                             RequestContext{0, ReqOp::kTrim}, issue);
   for (std::uint32_t i = 0; i < count; ++i) {
-    if (l2p_[lba.value() + i] != kUnmapped) {
+    if (map_.Lookup(lba.value() + i) != PageMap::kUnmapped) {
       InvalidatePage(lba.value() + i, issue);
       stats_.pages_trimmed++;
     }
@@ -610,8 +567,8 @@ double ConventionalSsd::WriteAmplification() const {
 DramUsage ConventionalSsd::ComputeDramUsage() const {
   const FlashGeometry& g = flash_.geometry();
   DramUsage u;
-  u.mapping_bytes = logical_pages_ * 4;  // 4 B per page-mapping entry (paper §2.2).
-  u.gc_metadata_bytes = g.total_pages() * 4 /* reverse map */ + g.total_blocks() * 4 /* counts */;
+  u.mapping_bytes = map_.forward_bytes();  // 4 B per page-mapping entry (paper §2.2).
+  u.gc_metadata_bytes = map_.reverse_bytes() + g.total_blocks() * 4 /* valid counts */;
   u.write_buffer_bytes = static_cast<std::uint64_t>(config_.write_buffer_pages) * g.page_size;
   return u;
 }
@@ -619,22 +576,8 @@ DramUsage ConventionalSsd::ComputeDramUsage() const {
 std::uint64_t ConventionalSsd::FreeBlocks() const { return free_block_count_; }
 
 Status ConventionalSsd::CheckConsistency() const {
-  const FlashGeometry& g = flash_.geometry();
-  for (std::uint64_t lpn = 0; lpn < logical_pages_; ++lpn) {
-    const std::uint64_t ppn = l2p_[lpn];
-    if (ppn == kUnmapped) {
-      continue;
-    }
-    if (ppn >= g.total_pages() || p2l_[ppn] != lpn) {
-      return Status(ErrorCode::kCorruption, "l2p/p2l mismatch");
-    }
-  }
-  std::vector<std::uint32_t> valid(block_meta_.size(), 0);
-  for (std::uint64_t ppn = 0; ppn < g.total_pages(); ++ppn) {
-    if (PageValid(ppn)) {
-      valid[ppn / g.pages_per_block]++;
-    }
-  }
+  BLOCKHEAD_RETURN_IF_ERROR(map_.Check());
+  const std::vector<std::uint32_t> valid = map_.LiveCounts(flash_.geometry().pages_per_block);
   for (std::uint64_t b = 0; b < block_meta_.size(); ++b) {
     if (valid[b] != block_meta_[b].valid_pages) {
       return Status(ErrorCode::kCorruption, "valid-page counter drift");

@@ -1,8 +1,8 @@
 // Conventional SSD: a page-mapped flash translation layer behind the block interface.
 //
 // This implements every FTL responsibility the paper enumerates in §2.1:
-//   * page-granularity logical-to-physical address translation (4 B/page model — the source of
-//     the ~1 GB-of-DRAM-per-TB figure in §2.2);
+//   * page-granularity logical-to-physical address translation (a PageMap with 4 B entries —
+//     the source of the ~1 GB-of-DRAM-per-TB figure in §2.2);
 //   * garbage collection with overprovisioned spare capacity (greedy or cost-benefit victim
 //     selection) — GC runs inside the device, occupying planes, which is exactly how it
 //     interferes with foreground reads (§2.4);
@@ -25,6 +25,7 @@
 #include "src/block/block_device.h"
 #include "src/core/strong_id.h"
 #include "src/flash/flash_device.h"
+#include "src/ftl/page_map.h"
 #include "src/util/status.h"
 #include "src/util/types.h"
 
@@ -41,10 +42,6 @@ struct FtlConfig {
   // device remains operable (real "0% OP" drives do the same).
   double op_fraction = 0.07;
   GcVictimPolicy victim_policy = GcVictimPolicy::kGreedy;
-  // Foreground GC triggers when the free pool drops to this many blocks (beyond the open
-  // frontiers) and runs until it recovers gc_free_target blocks.
-  std::uint32_t gc_trigger_free_blocks = 0;  // 0 -> derived: 2 * planes.
-  std::uint32_t gc_free_target_blocks = 0;   // 0 -> derived: trigger + planes.
   // Device DRAM write buffer, in pages. Writes are acknowledged when buffered; the buffer
   // drains at cell-program speed.
   std::uint32_t write_buffer_pages = 64;
@@ -98,7 +95,7 @@ class ConventionalSsd final : public BlockDevice {
   Result<SimTime> WriteBlocksStream(Lba lba, std::uint32_t count, std::uint32_t stream,
                                     SimTime issue, std::span<const std::uint8_t> data = {});
   Result<SimTime> TrimBlocks(Lba lba, std::uint32_t count, SimTime issue) override;
-  std::uint64_t num_blocks() const override { return logical_pages_; }
+  std::uint64_t num_blocks() const override { return map_.logical_pages(); }
   std::uint32_t block_size() const override { return flash_.geometry().page_size; }
 
   const FlashDevice& flash() const { return flash_; }
@@ -117,7 +114,7 @@ class ConventionalSsd final : public BlockDevice {
   // Physical-flash-writes / host-writes since construction. >= 1 once anything was written.
   double WriteAmplification() const;
 
-  // DRAM footprint under the paper's 4 B/entry model.
+  // DRAM footprint under the paper's 4 B/entry model; the map bytes are the PageMap's own.
   DramUsage ComputeDramUsage() const;
 
   // Runs up to `max_cycles` background GC cycles if the free pool is below the background
@@ -127,12 +124,13 @@ class ConventionalSsd final : public BlockDevice {
   // Total free (erased, unopened) blocks in all plane pools.
   std::uint64_t FreeBlocks() const;
 
-  // Validates internal invariants (L2P/P2L agreement, valid counters). For tests; O(capacity).
+  // The page-mapping table (logical page -> flat flash page).
+  const PageMap& page_map() const { return map_; }
+
+  // Validates internal invariants (page map agreement, valid counters). For tests; O(capacity).
   Status CheckConsistency() const;
 
  private:
-  static constexpr std::uint64_t kUnmapped = ~0ULL;
-
   struct PlaneState {
     std::vector<std::uint32_t> free_blocks;      // Erased blocks ready to open.
     std::vector<std::uint32_t> host_frontiers;   // Per-stream blocks receiving host writes.
@@ -160,22 +158,22 @@ class ConventionalSsd final : public BlockDevice {
   Result<SimTime> GcCycle(SimTime now);
   // Foreground GC driver: brings the free pool back above target. Returns last completion.
   SimTime MaybeForegroundGc(SimTime now);
-  // Victim selection over all full blocks. Returns flat block index or kUnmapped.
+  // Victim selection over all full blocks. Returns flat block index or kNoVictim.
+  static constexpr std::uint64_t kNoVictim = ~0ULL;
   std::uint64_t PickVictim(SimTime now, bool wear_migration);
   void InvalidatePage(std::uint64_t lpn, SimTime now);
-  bool PageValid(std::uint64_t ppn) const;
   // Host-visible ack time for a buffered write whose program completes at `program_done`.
   SimTime BufferAck(SimTime data_in, SimTime program_done);
   void PublishMetrics();
 
   FlashDevice flash_;
   FtlConfig config_;
-  std::uint64_t logical_pages_ = 0;
+  // Foreground GC triggers when the free pool drops to gc_trigger_blocks_ (2 per plane,
+  // beyond the open frontiers); background GC runs until it recovers one more per plane.
   std::uint32_t gc_trigger_blocks_ = 0;
   std::uint32_t gc_target_blocks_ = 0;
 
-  std::vector<std::uint64_t> l2p_;  // Logical page -> flat physical page (or kUnmapped).
-  std::vector<std::uint64_t> p2l_;  // Flat physical page -> logical page (or kUnmapped).
+  PageMap map_;
   std::vector<BlockMeta> block_meta_;
   std::vector<PlaneState> planes_;
   std::vector<std::uint32_t> next_host_plane_;  // Per-stream round-robin striping cursors.
@@ -193,12 +191,6 @@ class ConventionalSsd final : public BlockDevice {
   Tracer::Kind* write_span_ = nullptr;
   Tracer::Kind* read_span_ = nullptr;
 
-  // State-digest audit of the mapping table ("<prefix>.ftl.l2p"): one entry per mapped
-  // logical page hashing (lpn, ppn). p2l_ is derived state and is not digested separately.
-  SubsystemDigest* audit_l2p_ = nullptr;
-  static std::uint64_t L2pEntryHash(std::uint64_t lpn, std::uint64_t ppn) {
-    return AuditHashWords({lpn, ppn});
-  }
   // Divergence-injection test hook (BLOCKHEAD_AUDIT_PERTURB_GC_AT=<ns>): the first victim
   // selection at now >= the given SimTime picks the second-best block instead of the best,
   // once. Used by ci.sh and the EXPERIMENTS.md walkthrough to prove digest_bisect localizes

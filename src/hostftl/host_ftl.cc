@@ -19,40 +19,29 @@ HostFtlBlockDevice::HostFtlBlockDevice(ZnsDevice* device, const HostFtlConfig& c
       static_cast<std::uint64_t>(static_cast<double>(physical_pages) / (1.0 + op));
   // Always hold back at least three zones: host frontier, relocation frontier, one spare.
   const std::uint64_t reserve_pages = 3 * zone_pages_;
-  logical_pages_ = std::min(op_pages, physical_pages - reserve_pages);
+  const std::uint64_t logical_pages = std::min(op_pages, physical_pages - reserve_pages);
 
   // A background watermark above the steady-state free fraction would make reclamation run
   // perpetually against mostly-live zones; clamp it below the spare fraction.
   const double spare_fraction =
-      1.0 - static_cast<double>(logical_pages_) / static_cast<double>(physical_pages);
+      1.0 - static_cast<double>(logical_pages) / static_cast<double>(physical_pages);
   config_.sched.low_free_fraction =
       std::min(config_.sched.low_free_fraction, 0.6 * spare_fraction);
   config_.sched.critical_free_fraction =
       std::min(config_.sched.critical_free_fraction, 0.5 * config_.sched.low_free_fraction);
   reclaimer_.scheduler() = GcScheduler(config_.sched);
 
-  l2p_.assign(logical_pages_, kUnmapped);
-  d2l_.assign(physical_pages, kUnmapped);
+  map_ = PageMap(logical_pages, physical_pages);
   // Pop order is back-first; keep low-numbered zones first out for readability.
   for (std::uint32_t z = zones; z > 0; --z) {
     reclaimer_.AddFreeZone(z - 1);
   }
 }
 
-bool HostFtlBlockDevice::DevicePageLive(std::uint64_t dev_lba) const {
-  return d2l_[dev_lba] != kUnmapped;
-}
-
 void HostFtlBlockDevice::InvalidatePage(std::uint64_t lpn, SimTime now) {
-  const std::uint64_t old = l2p_[lpn];
-  if (old == kUnmapped) {
-    return;
-  }
-  reclaimer_.DropLive(static_cast<std::uint32_t>(old / zone_pages_), 1);
-  d2l_[old] = kUnmapped;
-  l2p_[lpn] = kUnmapped;
-  if (audit_l2p_ != nullptr && audit_l2p_->armed()) {
-    audit_l2p_->Remove(now, L2pEntryHash(lpn, old));
+  const PageMap::Entry old = map_.Unmap(lpn, now);
+  if (old != PageMap::kUnmapped) {
+    reclaimer_.DropLive(static_cast<std::uint32_t>(old / zone_pages_), 1);
   }
 }
 
@@ -102,12 +91,8 @@ Result<SimTime> HostFtlBlockDevice::AppendPage(std::uint64_t lpn, SimTime issue,
     done = r.value();
   }
   InvalidatePage(lpn, done);
-  l2p_[lpn] = dev_lba;
-  d2l_[dev_lba] = lpn;
+  map_.Map(lpn, dev_lba, done);
   reclaimer_.AddLive(host_zone_, 1);
-  if (audit_l2p_ != nullptr && audit_l2p_->armed()) {
-    audit_l2p_->Insert(done, L2pEntryHash(lpn, dev_lba));
-  }
   return done;
 }
 
@@ -128,7 +113,7 @@ Result<SimTime> HostFtlBlockDevice::GcStep(SimTime now, bool critical,
   std::uint32_t moved = 0;
 
   while (gc_offset_ < vd.capacity_pages && moved < max_pages) {
-    if (!DevicePageLive((vd.start_lba + gc_offset_).value())) {
+    if (!map_.Live((vd.start_lba + gc_offset_).value())) {
       gc_offset_++;
       continue;
     }
@@ -140,7 +125,7 @@ Result<SimTime> HostFtlBlockDevice::GcStep(SimTime now, bool critical,
     std::uint32_t run = 1;
     while (gc_offset_ + run < vd.capacity_pages && moved + run < max_pages &&
            run < rd.capacity_pages - rd.write_pointer &&
-           DevicePageLive((vd.start_lba + gc_offset_ + run).value())) {
+           map_.Live((vd.start_lba + gc_offset_ + run).value())) {
       ++run;
     }
     const std::uint64_t src = (vd.start_lba + gc_offset_).value();
@@ -169,15 +154,8 @@ Result<SimTime> HostFtlBlockDevice::GcStep(SimTime now, bool critical,
       t = std::max(t, w.value());
       stats_.gc_host_bus_bytes += 2ULL * run * page_size;
     }
-    const bool audit = audit_l2p_ != nullptr && audit_l2p_->armed();
     for (std::uint32_t p = 0; p < run; ++p) {
-      const std::uint64_t lpn = d2l_[src + p];
-      l2p_[lpn] = dst + p;
-      d2l_[dst + p] = lpn;
-      d2l_[src + p] = kUnmapped;
-      if (audit) {
-        audit_l2p_->Replace(t, L2pEntryHash(lpn, src + p), L2pEntryHash(lpn, dst + p));
-      }
+      map_.Move(src + p, dst + p, t);
     }
     reclaimer_.DropLive(reclaimer_.victim(), run);
     reclaimer_.AddLive(reloc_zone_, run);
@@ -211,7 +189,7 @@ std::uint32_t HostFtlBlockDevice::Pump(SimTime now, bool reads_pending,
 Result<SimTime> HostFtlBlockDevice::WriteBlocks(Lba lba, std::uint32_t count, SimTime issue,
                                                 std::span<const std::uint8_t> data) {
   SelfProfiler::Scope prof_scope(ProfilerOf(telemetry_), ProfSubsystem::kHostFtl, ProfOp::kWrite);
-  if (lba.value() + count > logical_pages_) {
+  if (lba.value() + count > num_blocks()) {
     return ErrorCode::kOutOfRange;
   }
   const std::uint32_t page_size = device_->page_size();
@@ -263,7 +241,7 @@ Result<SimTime> HostFtlBlockDevice::WriteBlocks(Lba lba, std::uint32_t count, Si
 Result<SimTime> HostFtlBlockDevice::ReadBlocks(Lba lba, std::uint32_t count, SimTime issue,
                                                std::span<std::uint8_t> out) {
   SelfProfiler::Scope prof_scope(ProfilerOf(telemetry_), ProfSubsystem::kHostFtl, ProfOp::kRead);
-  if (lba.value() + count > logical_pages_) {
+  if (lba.value() + count > num_blocks()) {
     return ErrorCode::kOutOfRange;
   }
   const std::uint32_t page_size = device_->page_size();
@@ -280,8 +258,8 @@ Result<SimTime> HostFtlBlockDevice::ReadBlocks(Lba lba, std::uint32_t count, Sim
       page_out = out.subspan(static_cast<std::size_t>(i) * page_size, page_size);
     }
     stats_.host_pages_read++;
-    const std::uint64_t dev_lba = l2p_[lba.value() + i];
-    if (dev_lba == kUnmapped) {
+    const PageMap::Entry dev_lba = map_.Lookup(lba.value() + i);
+    if (dev_lba == PageMap::kUnmapped) {
       // Unmapped logical page: the host FTL itself serves zeros.
       if (!page_out.empty()) {
         std::memset(page_out.data(), 0, page_out.size());
@@ -304,13 +282,13 @@ Result<SimTime> HostFtlBlockDevice::ReadBlocks(Lba lba, std::uint32_t count, Sim
 
 Result<SimTime> HostFtlBlockDevice::TrimBlocks(Lba lba, std::uint32_t count, SimTime issue) {
   SelfProfiler::Scope prof_scope(ProfilerOf(telemetry_), ProfSubsystem::kHostFtl, ProfOp::kOther);
-  if (lba.value() + count > logical_pages_) {
+  if (lba.value() + count > num_blocks()) {
     return ErrorCode::kOutOfRange;
   }
   RequestPathLedger::RequestScope req_scope(ForegroundReqPathOf(telemetry_),
                                             RequestContext{0, ReqOp::kTrim}, issue);
   for (std::uint32_t i = 0; i < count; ++i) {
-    if (l2p_[lba.value() + i] != kUnmapped) {
+    if (map_.Lookup(lba.value() + i) != PageMap::kUnmapped) {
       InvalidatePage(lba.value() + i, issue);
       stats_.pages_trimmed++;
     }
@@ -333,7 +311,7 @@ void HostFtlBlockDevice::AttachTelemetry(Telemetry* telemetry, std::string_view 
   if (telemetry_ == nullptr) {
     sampler_group_ = -1;
     provenance_ingress_ = nullptr;
-    audit_l2p_ = nullptr;
+    map_.AttachAudit(nullptr);
     write_span_ = nullptr;
     read_span_ = nullptr;
     return;
@@ -341,7 +319,7 @@ void HostFtlBlockDevice::AttachTelemetry(Telemetry* telemetry, std::string_view 
   write_span_ = telemetry_->tracer.Intern(metric_prefix_ + ".write");
   read_span_ = telemetry_->tracer.Intern(metric_prefix_ + ".read");
   telemetry_->registry.AddProvider(metric_prefix_, [this] { PublishMetrics(); });
-  audit_l2p_ = telemetry_->audit.Register(metric_prefix_ + ".l2p");
+  map_.AttachAudit(telemetry_->audit.Register(metric_prefix_ + ".l2p"));
   provenance_ingress_ = telemetry_->provenance.RegisterDomain(metric_prefix_);
 
   Timeline& tl = telemetry_->timeline;
@@ -381,26 +359,12 @@ double HostFtlBlockDevice::EndToEndWriteAmplification() const {
 
 std::uint64_t HostFtlBlockDevice::HostMappingBytes() const {
   // 4 B per forward entry + 4 B per reverse entry (paper's per-entry model, now in host DRAM).
-  return logical_pages_ * 4 + d2l_.size() * 4;
+  return map_.forward_bytes() + map_.reverse_bytes();
 }
 
 Status HostFtlBlockDevice::CheckConsistency() const {
-  for (std::uint64_t lpn = 0; lpn < logical_pages_; ++lpn) {
-    const std::uint64_t dev_lba = l2p_[lpn];
-    if (dev_lba == kUnmapped) {
-      continue;
-    }
-    if (dev_lba >= d2l_.size() || d2l_[dev_lba] != lpn) {
-      return Status(ErrorCode::kCorruption, "l2p/d2l mismatch");
-    }
-  }
-  std::vector<std::uint32_t> live(device_->num_zones(), 0);
-  for (std::uint64_t dev_lba = 0; dev_lba < d2l_.size(); ++dev_lba) {
-    if (d2l_[dev_lba] != kUnmapped) {
-      live[dev_lba / zone_pages_]++;
-    }
-  }
-  if (!reclaimer_.LiveMatches(live)) {
+  BLOCKHEAD_RETURN_IF_ERROR(map_.Check());
+  if (!reclaimer_.LiveMatches(map_.LiveCounts(zone_pages_))) {
     return Status(ErrorCode::kCorruption, "zone live counter drift");
   }
   return Status::Ok();

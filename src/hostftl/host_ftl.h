@@ -21,6 +21,7 @@
 
 #include "src/block/block_device.h"
 #include "src/core/strong_id.h"
+#include "src/ftl/page_map.h"
 #include "src/sched/gc_scheduler.h"
 #include "src/sched/zone_reclaimer.h"
 #include "src/util/status.h"
@@ -70,7 +71,7 @@ class HostFtlBlockDevice final : public BlockDevice {
   Result<SimTime> WriteBlocks(Lba lba, std::uint32_t count, SimTime issue,
                               std::span<const std::uint8_t> data = {}) override;
   Result<SimTime> TrimBlocks(Lba lba, std::uint32_t count, SimTime issue) override;
-  std::uint64_t num_blocks() const override { return logical_pages_; }
+  std::uint64_t num_blocks() const override { return map_.logical_pages(); }
   std::uint32_t block_size() const override { return device_->page_size(); }
 
   const HostFtlStats& stats() const { return stats_; }
@@ -99,15 +100,15 @@ class HostFtlBlockDevice final : public BlockDevice {
   double EndToEndWriteAmplification() const;
 
   // Host DRAM consumed by the mapping tables (the cost the paper says moves from device to
-  // host, §2.3).
+  // host, §2.3): the PageMap's forward and reverse tables.
   std::uint64_t HostMappingBytes() const;
+  // The page-mapping table (logical page -> device LBA).
+  const PageMap& page_map() const { return map_; }
 
   // Validates mapping invariants. For tests; O(capacity).
   Status CheckConsistency() const;
 
  private:
-  static constexpr std::uint64_t kUnmapped = ~0ULL;
-
   // Ensures the host or relocation frontier has at least one writable page.
   Status EnsureFrontier(bool relocation, SimTime now);
   // Appends one logical page; returns device completion.
@@ -117,18 +118,15 @@ class HostFtlBlockDevice final : public BlockDevice {
   // new) victim and resets it once drained. Errors if nothing is reclaimable.
   Result<SimTime> GcStep(SimTime now, bool critical, std::uint32_t max_pages);
   void InvalidatePage(std::uint64_t lpn, SimTime now);
-  bool DevicePageLive(std::uint64_t dev_lba) const;
   void PublishMetrics();
 
   ZnsDevice* device_;
   HostFtlConfig config_;
   ZoneReclaimer reclaimer_;
 
-  std::uint64_t logical_pages_ = 0;
   std::uint64_t zone_pages_ = 0;
 
-  std::vector<std::uint64_t> l2p_;  // Logical page -> device LBA.
-  std::vector<std::uint64_t> d2l_;  // Device LBA -> logical page.
+  PageMap map_;  // Logical page -> device LBA; audited as "<prefix>.l2p".
   static constexpr std::uint32_t kNoZone = ZoneReclaimer::kNoZone;
   std::uint32_t host_zone_ = kNoZone;   // Current zone receiving host writes.
   std::uint32_t reloc_zone_ = kNoZone;  // Current zone receiving GC copies.
@@ -145,13 +143,6 @@ class HostFtlBlockDevice final : public BlockDevice {
   // Logical bytes accepted from the host, accumulated into the provenance ledger's domain
   // "<prefix>" as a link in the factorized-WA chain.
   Bytes* provenance_ingress_ = nullptr;
-
-  // State-digest audit of the host-side mapping ("<prefix>.l2p"): one entry per mapped
-  // logical page hashing (lpn, device LBA). d2l_/zone_live_ are derived state.
-  SubsystemDigest* audit_l2p_ = nullptr;
-  static std::uint64_t L2pEntryHash(std::uint64_t lpn, std::uint64_t dev_lba) {
-    return AuditHashWords({lpn, dev_lba});
-  }
 };
 
 }  // namespace blockhead

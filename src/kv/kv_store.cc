@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <limits>
 
+#include "src/util/bytes.h"
+
 namespace blockhead {
 
 namespace {
@@ -16,62 +18,12 @@ constexpr std::uint8_t kWalValue = 1;
 constexpr std::uint8_t kWalTombstone = 2;
 constexpr const char* kManifestName = "MANIFEST";
 
-void PutU16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-void PutU32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-void PutU64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
+// Strings are stored with a u16 length prefix.
 void PutString(std::vector<std::uint8_t>& out, std::string_view s) {
   PutU16(out, static_cast<std::uint16_t>(s.size()));
   out.insert(out.end(), s.begin(), s.end());
 }
-
-class ByteReader {
- public:
-  explicit ByteReader(std::span<const std::uint8_t> data) : data_(data) {}
-  bool ok() const { return ok_; }
-  std::size_t remaining() const { return data_.size() - pos_; }
-  std::uint8_t U8() { return static_cast<std::uint8_t>(Raw(1)); }
-  std::uint16_t U16() { return static_cast<std::uint16_t>(Raw(2)); }
-  std::uint32_t U32() { return static_cast<std::uint32_t>(Raw(4)); }
-  std::uint64_t U64() { return Raw(8); }
-  std::string Str() {
-    const std::uint16_t len = U16();
-    if (!ok_ || remaining() < len) {
-      ok_ = false;
-      return {};
-    }
-    std::string s(reinterpret_cast<const char*>(data_.data() + pos_), len);
-    pos_ += len;
-    return s;
-  }
-
- private:
-  std::uint64_t Raw(int n) {
-    if (!ok_ || remaining() < static_cast<std::size_t>(n)) {
-      ok_ = false;
-      return 0;
-    }
-    std::uint64_t v = 0;
-    for (int i = 0; i < n; ++i) {
-      v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
-    }
-    pos_ += static_cast<std::size_t>(n);
-    return v;
-  }
-  std::span<const std::uint8_t> data_;
-  std::size_t pos_ = 0;
-  bool ok_ = true;
-};
+std::string GetString(ByteReader& in) { return in.String(in.U16()); }
 
 }  // namespace
 
@@ -220,26 +172,21 @@ Status KvStore::RecoverManifest(SimTime now) {
       return r.status();
     }
   }
-  std::size_t pos = 0;
-  while (pos + 4 <= bytes.size()) {
-    std::uint32_t len = 0;
-    for (int i = 0; i < 4; ++i) {
-      len |= static_cast<std::uint32_t>(bytes[pos + i]) << (8 * i);
-    }
-    pos += 4;
-    if (pos + len > bytes.size()) {
+  ByteReader log(bytes);
+  while (log.remaining() >= 4) {
+    const std::uint32_t len = log.U32();
+    if (log.remaining() < len) {
       break;  // Torn tail record.
     }
-    ByteReader rec(std::span<const std::uint8_t>(bytes.data() + pos, len));
-    pos += len;
+    ByteReader rec(log.Take(len));
     const std::uint8_t type = rec.U8();
     if (type == kManifestAdd) {
       TableMeta meta;
       meta.level = rec.U8();
       meta.file_number = rec.U32();
       meta.bytes = rec.U64();
-      meta.smallest = rec.Str();
-      meta.largest = rec.Str();
+      meta.smallest = GetString(rec);
+      meta.largest = GetString(rec);
       if (!rec.ok() || meta.level >= config_.max_levels) {
         return Status(ErrorCode::kCorruption, "bad manifest add record");
       }
@@ -305,8 +252,8 @@ Status KvStore::RecoverWal(SimTime now) {
     if (type != kWalValue && type != kWalTombstone) {
       break;  // Zero padding from a page-aligned sync, or torn tail.
     }
-    const std::string key = reader.Str();
-    const std::string value = type == kWalValue ? reader.Str() : std::string();
+    const std::string key = GetString(reader);
+    const std::string value = type == kWalValue ? GetString(reader) : std::string();
     if (!reader.ok()) {
       break;
     }

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
+
+#include "src/util/bytes.h"
 
 namespace blockhead {
 
@@ -10,39 +11,8 @@ namespace {
 
 constexpr std::uint64_t kTableMagic = 0x31424154534E5A42ULL;  // "BZNSTAB1"
 constexpr std::size_t kFooterBytes = 48;
-
-void PutU16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-void PutU32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-void PutU64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-std::uint64_t GetU64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
-std::uint32_t GetU32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
-std::uint16_t GetU16(const std::uint8_t* p) {
-  return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
-}
+// Upper bound on a bloom filter's hash count (Build clamps k to [1, kMaxHashes]).
+constexpr std::uint32_t kMaxHashes = 16;
 
 // FNV-1a 64-bit.
 std::uint64_t HashKey(std::string_view key, std::uint64_t seed) {
@@ -67,7 +37,7 @@ BloomFilter BloomFilter::Build(const std::vector<std::string>& keys,
   f.bit_count_ = static_cast<std::uint32_t>(std::max<std::size_t>(64, keys.size() * bits_per_key));
   // k = bits_per_key * ln2, clamped.
   f.k_ = std::clamp<std::uint32_t>(
-      static_cast<std::uint32_t>(static_cast<double>(bits_per_key) * 0.69), 1, 16);
+      static_cast<std::uint32_t>(static_cast<double>(bits_per_key) * 0.69), 1, kMaxHashes);
   f.bits_.assign((f.bit_count_ + 7) / 8, 0);
   for (const std::string& key : keys) {
     const std::uint64_t h1 = HashKey(key, 0);
@@ -104,14 +74,18 @@ std::vector<std::uint8_t> BloomFilter::Serialize() const {
 }
 
 Result<BloomFilter> BloomFilter::Deserialize(std::span<const std::uint8_t> bytes) {
-  if (bytes.size() < 8) {
+  ByteReader in(bytes);
+  BloomFilter f;
+  f.bit_count_ = in.U32();
+  f.k_ = in.U32();
+  if (!in.ok()) {
     return Status(ErrorCode::kCorruption, "bloom too short");
   }
-  BloomFilter f;
-  f.bit_count_ = GetU32(bytes.data());
-  f.k_ = GetU32(bytes.data() + 4);
-  const std::size_t expect = (f.bit_count_ + 7) / 8;
-  if (bytes.size() != 8 + expect) {
+  // Build() writes either an empty filter (no bits, k = 0) or k in [1, 16].
+  if ((f.bit_count_ == 0) != (f.k_ == 0) || f.k_ > kMaxHashes) {
+    return Status(ErrorCode::kCorruption, "bloom hash count out of range");
+  }
+  if (in.remaining() != (std::uint64_t{f.bit_count_} + 7) / 8) {
     return Status(ErrorCode::kCorruption, "bloom size mismatch");
   }
   f.bits_.assign(bytes.begin() + 8, bytes.end());
@@ -229,13 +203,20 @@ Result<std::unique_ptr<SSTableReader>> SSTableReader::Open(Env* env, std::string
   if (!r.ok()) {
     return r.status();
   }
-  const std::uint64_t index_off = GetU64(footer.data());
-  const std::uint64_t index_len = GetU64(footer.data() + 8);
-  const std::uint64_t bloom_off = GetU64(footer.data() + 16);
-  const std::uint64_t bloom_len = GetU64(footer.data() + 24);
-  const std::uint64_t entry_count = GetU64(footer.data() + 32);
-  const std::uint64_t magic = GetU64(footer.data() + 40);
-  if (magic != kTableMagic || index_off + index_len > size.value()) {
+  ByteReader in(footer);
+  const std::uint64_t index_off = in.U64();
+  const std::uint64_t index_len = in.U64();
+  const std::uint64_t bloom_off = in.U64();
+  const std::uint64_t bloom_len = in.U64();
+  const std::uint64_t entry_count = in.U64();
+  const std::uint64_t magic = in.U64();
+  // The index and bloom sections both lie before the footer. Checked before either buffer is
+  // allocated, and without forming off + len (which can wrap).
+  const std::uint64_t body = size.value() - kFooterBytes;
+  const auto in_body = [body](std::uint64_t off, std::uint64_t len) {
+    return len <= body && off <= body - len;
+  };
+  if (magic != kTableMagic || !in_body(index_off, index_len) || !in_body(bloom_off, bloom_len)) {
     return Status(ErrorCode::kCorruption, "bad table footer");
   }
 
@@ -249,18 +230,15 @@ Result<std::unique_ptr<SSTableReader>> SSTableReader::Open(Env* env, std::string
       return r.status();
     }
   }
-  std::size_t pos = 0;
-  while (pos + 14 <= index_bytes.size()) {
+  ByteReader index(index_bytes);
+  while (index.remaining() >= 14) {  // offset u64 | size u32 | key length u16 | key
     IndexEntry e;
-    e.offset = GetU64(index_bytes.data() + pos);
-    e.size = GetU32(index_bytes.data() + pos + 8);
-    const std::uint16_t klen = GetU16(index_bytes.data() + pos + 12);
-    pos += 14;
-    if (pos + klen > index_bytes.size()) {
+    e.offset = index.U64();
+    e.size = index.U32();
+    e.last_key = index.String(index.U16());
+    if (!index.ok()) {
       return Status(ErrorCode::kCorruption, "truncated index entry");
     }
-    e.last_key.assign(reinterpret_cast<const char*>(index_bytes.data() + pos), klen);
-    pos += klen;
     reader->index_.push_back(std::move(e));
   }
 
@@ -281,25 +259,15 @@ Result<std::unique_ptr<SSTableReader>> SSTableReader::Open(Env* env, std::string
 
 Status SSTableReader::ParseBlock(std::span<const std::uint8_t> block,
                                  std::vector<KvEntry>* entries) {
-  std::size_t pos = 0;
-  while (pos + 7 <= block.size()) {
-    const std::uint16_t klen = GetU16(block.data() + pos);
-    pos += 2;
-    if (pos + klen + 5 > block.size()) {
-      return Status(ErrorCode::kCorruption, "truncated entry key");
-    }
+  ByteReader in(block);
+  while (in.remaining() >= 7) {  // key length u16 | key | type u8 | value length u32 | value
     KvEntry entry;
-    entry.key.assign(reinterpret_cast<const char*>(block.data() + pos), klen);
-    pos += klen;
-    entry.type = static_cast<KvEntryType>(block[pos]);
-    pos += 1;
-    const std::uint32_t vlen = GetU32(block.data() + pos);
-    pos += 4;
-    if (pos + vlen > block.size()) {
-      return Status(ErrorCode::kCorruption, "truncated entry value");
+    entry.key = in.String(in.U16());
+    entry.type = static_cast<KvEntryType>(in.U8());
+    entry.value = in.String(in.U32());
+    if (!in.ok()) {
+      return Status(ErrorCode::kCorruption, "truncated entry");
     }
-    entry.value.assign(reinterpret_cast<const char*>(block.data() + pos), vlen);
-    pos += vlen;
     entries->push_back(std::move(entry));
   }
   return Status::Ok();

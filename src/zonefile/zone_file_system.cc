@@ -5,6 +5,8 @@
 #include <cstring>
 #include <functional>
 
+#include "src/util/bytes.h"
+
 namespace blockhead {
 
 namespace {
@@ -25,64 +27,6 @@ constexpr double kGcMaxLiveFraction = 0.75;
 // foreground reads interleave with reclamation instead of stalling behind a whole-zone copy
 // (§4.1: the host schedules GC around I/O — a knob no conventional SSD exposes).
 constexpr std::uint32_t kGcStepPages = 4;
-
-void PutU8(std::vector<std::uint8_t>& out, std::uint8_t v) { out.push_back(v); }
-void PutU16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-void PutU32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-void PutU64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-// Bounds-checked little-endian reader.
-class Cursor {
- public:
-  explicit Cursor(std::span<const std::uint8_t> data) : data_(data) {}
-
-  bool ok() const { return ok_; }
-  std::size_t remaining() const { return data_.size() - pos_; }
-
-  std::uint8_t U8() { return static_cast<std::uint8_t>(Bytes(1)); }
-  std::uint16_t U16() { return static_cast<std::uint16_t>(Bytes(2)); }
-  std::uint32_t U32() { return static_cast<std::uint32_t>(Bytes(4)); }
-  std::uint64_t U64() { return Bytes(8); }
-
-  std::string String(std::size_t len) {
-    if (!ok_ || remaining() < len) {
-      ok_ = false;
-      return {};
-    }
-    std::string s(reinterpret_cast<const char*>(data_.data() + pos_), len);
-    pos_ += len;
-    return s;
-  }
-
- private:
-  std::uint64_t Bytes(int n) {
-    if (!ok_ || remaining() < static_cast<std::size_t>(n)) {
-      ok_ = false;
-      return 0;
-    }
-    std::uint64_t v = 0;
-    for (int i = 0; i < n; ++i) {
-      v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
-    }
-    pos_ += static_cast<std::size_t>(n);
-    return v;
-  }
-
-  std::span<const std::uint8_t> data_;
-  std::size_t pos_ = 0;
-  bool ok_ = true;
-};
 
 }  // namespace
 
@@ -732,7 +676,7 @@ std::vector<std::uint8_t> ZoneFileSystem::SerializeCheckpoint() const {
 }
 
 Status ZoneFileSystem::ApplyRecord(std::uint8_t type, std::span<const std::uint8_t> payload) {
-  Cursor c(payload);
+  ByteReader c(payload);
   if (type == kRecBatch) {
     while (c.ok() && c.remaining() > 0) {
       const std::uint8_t sub_type = c.U8();
@@ -891,15 +835,15 @@ Status ZoneFileSystem::LoadFromZone(std::uint32_t meta_zone, SimTime now) {
     if (!r.ok()) {
       return r.status();
     }
-    Cursor c(page);
+    ByteReader c(page);
     const std::uint32_t magic = c.U32();
     const std::uint8_t type = c.U8();
     (void)c.U64();  // seq
     const std::uint32_t total = c.U32();
     const std::uint16_t part = c.U16();
     const std::uint16_t parts = c.U16();
-    const std::uint32_t len = c.U32();
-    if (magic != kMetaMagic || !c.ok() || len > page_size_ - kMetaHeaderBytes) {
+    const std::span<const std::uint8_t> payload = c.Take(c.U32());
+    if (magic != kMetaMagic || !c.ok()) {
       break;  // Torn or unwritten page: stop replay here.
     }
     if (part != expected_part || (part > 0 && (type != blob_type || total != blob_total))) {
@@ -910,8 +854,7 @@ Status ZoneFileSystem::LoadFromZone(std::uint32_t meta_zone, SimTime now) {
       blob_type = type;
       blob_total = total;
     }
-    blob.insert(blob.end(), page.begin() + kMetaHeaderBytes,
-                page.begin() + kMetaHeaderBytes + len);
+    blob.insert(blob.end(), payload.begin(), payload.end());
     if (part + 1 < parts) {
       expected_part = static_cast<std::uint16_t>(part + 1);
       continue;
@@ -922,7 +865,7 @@ Status ZoneFileSystem::LoadFromZone(std::uint32_t meta_zone, SimTime now) {
     }
     // A complete blob: apply it.
     if (blob_type == kRecCheckpoint) {
-      Cursor ck(blob);
+      ByteReader ck(blob);
       next_file_id_ = ck.U32();
       const std::uint32_t count = ck.U32();
       for (std::uint32_t i = 0; i < count && ck.ok(); ++i) {
@@ -963,7 +906,7 @@ Result<std::unique_ptr<ZoneFileSystem>> ZoneFileSystem::Mount(ZnsDevice* device,
     if (!r.ok()) {
       continue;
     }
-    Cursor c(page);
+    ByteReader c(page);
     const std::uint32_t magic = c.U32();
     const std::uint8_t type = c.U8();
     const std::uint64_t seq = c.U64();

@@ -33,6 +33,27 @@ TEST(GeometryTest, InvalidGeometryRejected) {
   EXPECT_FALSE(g.Validate().ok());
 }
 
+TEST(GeometryTest, TotalPagesMustFitFourByteMappingEntries) {
+  // 2^32 - 1 = 255 * 16843009: one page too many (that index is the unmapped sentinel).
+  FlashGeometry g;
+  g.channels = 1;
+  g.planes_per_channel = 1;
+  g.blocks_per_plane = 16843009;
+  g.pages_per_block = 255;
+  ASSERT_EQ(g.total_pages(), 0xFFFFFFFFull);
+  EXPECT_EQ(g.Validate().code(), ErrorCode::kInvalidArgument);
+  // 2^32 - 2 pages is the largest valid geometry.
+  g.blocks_per_plane = 0x7FFFFFFF;
+  g.pages_per_block = 2;
+  EXPECT_TRUE(g.Validate().ok());
+  // Products that would wrap 32-bit arithmetic are still rejected.
+  g.channels = 1u << 16;
+  g.planes_per_channel = 1u << 16;
+  g.blocks_per_plane = 1;
+  g.pages_per_block = 1;
+  EXPECT_FALSE(g.Validate().ok());
+}
+
 TEST(GeometryTest, FlatIndexRoundTrip) {
   const FlashGeometry g = FlashGeometry::Small();
   for (std::uint64_t flat = 0; flat < g.total_pages(); flat += 97) {

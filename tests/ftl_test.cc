@@ -4,12 +4,26 @@
 
 #include <map>
 #include <numeric>
+#include <unordered_map>
 #include <vector>
 
 #include "src/ftl/conventional_ssd.h"
+#include "src/ftl/page_map.h"
 #include "src/util/rng.h"
 
 namespace blockhead {
+
+// Reaches into a PageMap to corrupt one entry, so Check() has something to find.
+class PageMapTestPeer {
+ public:
+  static void SetForward(PageMap& map, std::uint64_t lpn, PageMap::Entry phys) {
+    map.forward_[lpn] = phys;
+  }
+  static void SetReverse(PageMap& map, std::uint64_t phys, PageMap::Entry lpn) {
+    map.reverse_[phys] = lpn;
+  }
+};
+
 namespace {
 
 FlashConfig SmallFlash() {
@@ -303,6 +317,15 @@ TEST(ConventionalSsdTest, DramUsageMatchesPaperModel) {
   EXPECT_EQ(u.mapping_bytes, ssd.num_blocks() * 4);
   EXPECT_GT(u.gc_metadata_bytes, 0u);
   EXPECT_GT(u.total(), u.mapping_bytes);
+  // The reported bytes are the page map's own 4-byte entries: forward for the mapping,
+  // reverse plus the per-block valid counts for GC metadata.
+  const PageMap& map = ssd.page_map();
+  EXPECT_EQ(sizeof(PageMap::Entry), 4u);
+  EXPECT_EQ(map.logical_pages(), ssd.num_blocks());
+  EXPECT_EQ(map.physical_pages(), ssd.flash().geometry().total_pages());
+  EXPECT_EQ(u.mapping_bytes, map.logical_pages() * 4);
+  EXPECT_EQ(u.gc_metadata_bytes,
+            map.physical_pages() * 4 + ssd.flash().geometry().total_blocks() * 4);
 }
 
 TEST(ConventionalSsdTest, WriteBufferAcksBeforeProgramCompletes) {
@@ -389,6 +412,127 @@ TEST_P(OpSweepTest, ChurnKeepsInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(OpFractions, OpSweepTest,
                          ::testing::Values(0.0, 0.07, 0.125, 0.25, 0.28));
+
+// --- PageMap ---
+
+TEST(PageMapTest, RandomTraceMatchesReference) {
+  constexpr std::uint64_t kLogical = 300;
+  constexpr std::uint64_t kPhysical = 400;
+  PageMap map(kLogical, kPhysical);
+  std::unordered_map<std::uint64_t, std::uint64_t> forward;  // lpn -> phys
+  std::unordered_map<std::uint64_t, std::uint64_t> reverse;  // phys -> lpn
+  Rng rng(17);
+  auto free_page = [&] {
+    std::uint64_t phys = rng.NextBelow(kPhysical);
+    while (reverse.contains(phys)) {
+      phys = (phys + 1) % kPhysical;
+    }
+    return phys;
+  };
+  for (SimTime t = 0; t < 20000; ++t) {
+    const std::uint64_t op = rng.NextBelow(3);
+    if (op == 0) {
+      // Overwrite: unmap the old location (if any), then map to a free page.
+      const std::uint64_t lpn = rng.NextBelow(kLogical);
+      const PageMap::Entry old = map.Unmap(lpn, t);
+      if (auto it = forward.find(lpn); it != forward.end()) {
+        ASSERT_EQ(old, it->second);
+        reverse.erase(it->second);
+        forward.erase(it);
+      } else {
+        ASSERT_EQ(old, PageMap::kUnmapped);
+      }
+      const std::uint64_t phys = free_page();
+      map.Map(lpn, phys, t);
+      forward[lpn] = phys;
+      reverse[phys] = lpn;
+    } else if (op == 1) {
+      const std::uint64_t lpn = rng.NextBelow(kLogical);
+      const PageMap::Entry old = map.Unmap(lpn, t);
+      if (auto it = forward.find(lpn); it != forward.end()) {
+        ASSERT_EQ(old, it->second);
+        reverse.erase(it->second);
+        forward.erase(it);
+      } else {
+        ASSERT_EQ(old, PageMap::kUnmapped);
+      }
+    } else if (!reverse.empty() && reverse.size() < kPhysical) {
+      // Relocate a live page, as GC does.
+      std::uint64_t from = rng.NextBelow(kPhysical);
+      while (!reverse.contains(from)) {
+        from = (from + 1) % kPhysical;
+      }
+      const std::uint64_t to = free_page();
+      const std::uint64_t lpn = reverse[from];
+      ASSERT_EQ(map.Move(from, to, t), lpn);
+      reverse.erase(from);
+      reverse[to] = lpn;
+      forward[lpn] = to;
+    }
+  }
+  ASSERT_FALSE(forward.empty());
+  for (std::uint64_t lpn = 0; lpn < kLogical; ++lpn) {
+    const auto it = forward.find(lpn);
+    EXPECT_EQ(map.Lookup(lpn), it == forward.end() ? PageMap::kUnmapped : it->second);
+  }
+  for (std::uint64_t phys = 0; phys < kPhysical; ++phys) {
+    const auto it = reverse.find(phys);
+    EXPECT_EQ(map.Owner(phys), it == reverse.end() ? PageMap::kUnmapped : it->second);
+    EXPECT_EQ(map.Live(phys), it != reverse.end());
+  }
+  EXPECT_TRUE(map.Check().ok());
+  const std::vector<std::uint32_t> live = map.LiveCounts(100);
+  ASSERT_EQ(live.size(), 4u);
+  EXPECT_EQ(std::accumulate(live.begin(), live.end(), std::uint64_t{0}), reverse.size());
+}
+
+TEST(PageMapTest, CheckCatchesCorruptForwardEntry) {
+  PageMap map(8, 16);
+  map.Map(3, 5, 0);
+  map.Map(4, 6, 0);
+  ASSERT_TRUE(map.Check().ok());
+  PageMapTestPeer::SetForward(map, 3, 6);  // Points at a page owned by lpn 4.
+  EXPECT_EQ(map.Check().code(), ErrorCode::kCorruption);
+  PageMapTestPeer::SetForward(map, 3, 16);  // Past the physical space.
+  EXPECT_EQ(map.Check().code(), ErrorCode::kCorruption);
+}
+
+TEST(PageMapTest, CheckCatchesCorruptReverseEntry) {
+  PageMap map(8, 16);
+  map.Map(3, 5, 0);
+  ASSERT_TRUE(map.Check().ok());
+  PageMapTestPeer::SetReverse(map, 9, 3);  // A stale owner: lpn 3 lives at 5, not 9.
+  EXPECT_EQ(map.Check().code(), ErrorCode::kCorruption);
+  PageMapTestPeer::SetReverse(map, 9, 8);  // Past the logical space.
+  EXPECT_EQ(map.Check().code(), ErrorCode::kCorruption);
+}
+
+TEST(PageMapTest, SentinelAndBoundaryPages) {
+  PageMap map(10, 12);
+  EXPECT_EQ(map.forward_bytes(), 40u);
+  EXPECT_EQ(map.reverse_bytes(), 48u);
+  EXPECT_EQ(map.Lookup(0), PageMap::kUnmapped);
+  EXPECT_EQ(map.Owner(11), PageMap::kUnmapped);
+  EXPECT_EQ(map.Unmap(9, 0), PageMap::kUnmapped);  // Unmapping an unmapped page is a no-op.
+  map.Map(0, 11, 0);  // First logical page -> last physical page.
+  map.Map(9, 0, 0);   // Last logical page -> first physical page.
+  EXPECT_EQ(map.Lookup(0), 11u);
+  EXPECT_EQ(map.Lookup(9), 0u);
+  EXPECT_EQ(map.Owner(0), 9u);
+  EXPECT_TRUE(map.Live(11));
+  EXPECT_FALSE(map.Live(10));
+  EXPECT_EQ(map.Move(11, 10, 0), 0u);
+  EXPECT_FALSE(map.Live(11));
+  EXPECT_EQ(map.Unmap(9, 0), 0u);
+  EXPECT_FALSE(map.Live(0));
+  EXPECT_TRUE(map.Check().ok());
+  EXPECT_EQ(map.LiveCounts(5), (std::vector<std::uint32_t>{0, 0, 1}));
+}
+
+TEST(PageMapDeathTest, PageCountsPastFourByteEntriesAbort) {
+  EXPECT_DEATH(PageMap(1, PageMap::kUnmapped), "4-byte entries");
+  EXPECT_DEATH(PageMap(std::uint64_t{1} << 32, 1), "4-byte entries");
+}
 
 }  // namespace
 }  // namespace blockhead

@@ -227,6 +227,12 @@ TEST(HostFtlTest, HostMappingBytesAccounted) {
   const std::uint64_t physical = static_cast<std::uint64_t>(dev.num_zones()) *
                                  dev.zone_size_pages();
   EXPECT_EQ(ftl.HostMappingBytes(), ftl.num_blocks() * 4 + physical * 4);
+  // ...which are the page map's own 4-byte entries.
+  const PageMap& map = ftl.page_map();
+  EXPECT_EQ(sizeof(PageMap::Entry), 4u);
+  EXPECT_EQ(map.logical_pages(), ftl.num_blocks());
+  EXPECT_EQ(map.physical_pages(), physical);
+  EXPECT_EQ(ftl.HostMappingBytes(), (map.logical_pages() + map.physical_pages()) * 4);
 }
 
 TEST(HostFtlTest, MultiPageIo) {

@@ -86,6 +86,39 @@ TEST(BloomFilterTest, SerializeRoundTrip) {
   EXPECT_FALSE(BloomFilter::Deserialize(std::span<const std::uint8_t>(bytes.data(), 3)).ok());
 }
 
+// Serialized filter header: bit_count u32 | k u32, little-endian, then the bit array.
+std::vector<std::uint8_t> BloomBytes(std::uint32_t bit_count, std::uint32_t k,
+                                     std::size_t bit_bytes) {
+  std::vector<std::uint8_t> out;
+  for (const std::uint32_t v : {bit_count, k}) {
+    for (int i = 0; i < 4; ++i) {
+      out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  }
+  out.resize(out.size() + bit_bytes, 0xFF);
+  return out;
+}
+
+TEST(BloomFilterTest, DeserializeRejectsBitCountThatWraps32Bits) {
+  // (2^32 - 1 + 7) / 8 wraps to 0 in 32-bit arithmetic: a bare header must not pass as a
+  // filter with no bit array.
+  for (std::uint32_t bits = 0xFFFFFFF9u; bits != 0; ++bits) {
+    EXPECT_EQ(BloomFilter::Deserialize(BloomBytes(bits, 4, 0)).code(), ErrorCode::kCorruption)
+        << bits;
+  }
+}
+
+TEST(BloomFilterTest, DeserializeRejectsHashCountOutsideBuildRange) {
+  EXPECT_TRUE(BloomFilter::Deserialize(BloomBytes(64, 1, 8)).ok());
+  EXPECT_TRUE(BloomFilter::Deserialize(BloomBytes(64, 16, 8)).ok());
+  EXPECT_TRUE(BloomFilter::Deserialize(BloomBytes(0, 0, 0)).ok());  // Empty filter.
+  EXPECT_EQ(BloomFilter::Deserialize(BloomBytes(64, 0, 8)).code(), ErrorCode::kCorruption);
+  EXPECT_EQ(BloomFilter::Deserialize(BloomBytes(64, 17, 8)).code(), ErrorCode::kCorruption);
+  EXPECT_EQ(BloomFilter::Deserialize(BloomBytes(64, 0xFFFFFFFFu, 8)).code(),
+            ErrorCode::kCorruption);
+  EXPECT_EQ(BloomFilter::Deserialize(BloomBytes(0, 3, 0)).code(), ErrorCode::kCorruption);
+}
+
 TEST(BloomFilterTest, EmptyFilterNeverExcludes) {
   BloomFilter f;
   EXPECT_TRUE(f.MayContain("anything"));
@@ -259,6 +292,54 @@ TEST(SSTableTest, CorruptFooterRejected) {
   EXPECT_FALSE(tiny.ok());
   // A missing file reports not-found.
   EXPECT_EQ(SSTableReader::Open(&env, "absent.sst", 0).code(), ErrorCode::kNotFound);
+}
+
+// Copies table `from` to `to` with footer field `field` (0 index_off, 1 index_len,
+// 2 bloom_off, 3 bloom_len) replaced by `value`, then opens the copy.
+Result<std::unique_ptr<SSTableReader>> OpenWithFooterField(Env& env, const std::string& from,
+                                                           const std::string& to, int field,
+                                                           std::uint64_t value) {
+  std::vector<std::uint8_t> bytes(env.FileSize(from).value());
+  EXPECT_TRUE(env.Read(from, 0, bytes, 0).ok());
+  const std::size_t at = bytes.size() - 48 + 8 * static_cast<std::size_t>(field);
+  for (int i = 0; i < 8; ++i) {
+    bytes[at + i] = static_cast<std::uint8_t>(value >> (8 * i));
+  }
+  EXPECT_TRUE(env.CreateFile(to, Lifetime::kNone, 0).ok());
+  EXPECT_TRUE(env.Append(to, bytes, 0).ok());
+  return SSTableReader::Open(&env, to, 0);
+}
+
+TEST(SSTableTest, FooterRangesOutsideTheFileRejected) {
+  ConventionalSsd ssd(SmallFlash(), FtlConfig{});
+  BlockEnv env(&ssd);
+  SSTableBuilder builder(&env, "t.sst", SSTableBuilderOptions{});
+  ASSERT_TRUE(builder.Start(0).ok());
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(
+        builder.Add(KeyOf(static_cast<std::uint64_t>(i)), KvEntryType::kValue, "v", 0).ok());
+  }
+  ASSERT_TRUE(builder.Finish(0).ok());
+  ASSERT_TRUE(SSTableReader::Open(&env, "t.sst", 0).ok());
+  const std::uint64_t size = env.FileSize("t.sst").value();
+  struct Case {
+    int field;
+    std::uint64_t value;
+  };
+  const Case cases[] = {
+      {3, size},                    // Bloom section runs past the end of the file.
+      {2, ~0ULL - 3},               // bloom_off + bloom_len wraps.
+      {0, ~0ULL - 7},               // index_off + index_len wraps.
+      {1, size},                    // Index section runs past the end of the file.
+      {1, std::uint64_t{1} << 62},  // Index length no buffer could hold.
+  };
+  int n = 0;
+  for (const Case& c : cases) {
+    const std::string name = "bad" + std::to_string(n++) + ".sst";
+    EXPECT_EQ(OpenWithFooterField(env, "t.sst", name, c.field, c.value).code(),
+              ErrorCode::kCorruption)
+        << "field " << c.field << " = " << c.value;
+  }
 }
 
 TEST(SSTableTest, ScanFromReadsOnlyNeededBlocks) {
