@@ -89,13 +89,15 @@ benches=(
 
 # Perf subset: the gate reruns each bench PERF_REPEATS times, so only the fast benches
 # qualify (the heavyweight ones — bench_gc_policy, bench_ycsb, bench_wa_overprovisioning —
-# run 40+ seconds each and would make the stage minutes-long for no extra signal; the subset
-# covers the conventional-FTL, ZNS-fleet, and wear-leveling hot paths).
+# run 10+ seconds each and would make the stage minutes-long for no extra signal; the subset
+# covers the conventional-FTL, ZNS-fleet, and wear-leveling hot paths, and bench_multistream
+# is dominated by conventional-FTL GC victim picks).
 perf_benches=(
   "bench_read_latency 7"
   "bench_wear_leveling 11"
   "bench_fleet 42"
   "bench_zone_append 0"
+  "bench_multistream 3"
 )
 if [[ -n "${PERF_BENCHES:-}" ]]; then
   read -r -a perf_benches <<< "$PERF_BENCHES"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -11,6 +12,11 @@ namespace blockhead {
 ConventionalSsd::ConventionalSsd(const FlashConfig& flash_config, const FtlConfig& ftl_config)
     : flash_(flash_config), config_(ftl_config) {
   const FlashGeometry& g = flash_.geometry();
+  // An invalid reserve would wrap total_pages - reserve_pages below (or export nothing).
+  if (const Status valid = config_.Validate(g); !valid.ok()) {
+    std::fprintf(stderr, "blockhead: invalid FtlConfig: %s\n", valid.ToString().c_str());
+    std::abort();
+  }
   const std::uint64_t total_pages = g.total_pages();
   const std::uint64_t reserve_pages = static_cast<std::uint64_t>(
                                           config_.min_reserve_blocks_per_plane) *
@@ -25,6 +31,10 @@ ConventionalSsd::ConventionalSsd(const FlashConfig& flash_config, const FtlConfi
 
   map_ = PageMap(logical_pages, total_pages);
   block_meta_.assign(g.total_blocks(), BlockMeta{});
+  victim_index_ = VictimIndex(
+      g.total_blocks(), g.pages_per_block,
+      /*by_age=*/config_.victim_policy == GcVictimPolicy::kCostBenefit,
+      /*by_wear=*/config_.wear_leveling && config_.wear_migrate_interval != 0);
   config_.num_streams = std::max<std::uint32_t>(1, config_.num_streams);
   planes_.resize(g.total_planes());
   for (std::uint32_t pl = 0; pl < g.total_planes(); ++pl) {
@@ -53,9 +63,13 @@ void ConventionalSsd::InvalidatePage(std::uint64_t lpn, SimTime now) {
   if (old == PageMap::kUnmapped) {
     return;
   }
-  BlockMeta& meta = block_meta_[old / flash_.geometry().pages_per_block];
+  const std::uint64_t block = old / flash_.geometry().pages_per_block;
+  BlockMeta& meta = block_meta_[block];
   assert(meta.valid_pages > 0);
   meta.valid_pages--;
+  if (victim_index_.Contains(block)) {
+    victim_index_.DropValidPage(block);
+  }
 }
 
 std::uint32_t ConventionalSsd::TakeFreeBlock(std::uint32_t plane_index) {
@@ -97,14 +111,18 @@ Result<PhysAddr> ConventionalSsd::NextSlot(SimTime issue, bool gc_write,
     const ChannelId channel{plane_index / g.planes_per_channel};
     const PlaneId pl{plane_index % g.planes_per_channel};
 
-    // Retire a full frontier.
-    if (frontier != kNoBlock &&
-        flash_.block_status(channel, pl, BlockId{frontier}).next_page >= g.pages_per_block) {
-      const std::uint64_t flat = static_cast<std::uint64_t>(plane_index) * g.blocks_per_plane +
-                                 frontier;
-      block_meta_[flat].open = false;
-      block_meta_[flat].last_write = issue;
-      frontier = kNoBlock;
+    // Retire a full frontier: it becomes a victim candidate.
+    if (frontier != kNoBlock) {
+      const BlockStatus status = flash_.block_status(channel, pl, BlockId{frontier});
+      if (status.next_page >= g.pages_per_block) {
+        const std::uint64_t flat =
+            static_cast<std::uint64_t>(plane_index) * g.blocks_per_plane + frontier;
+        BlockMeta& meta = block_meta_[flat];
+        meta.open = false;
+        meta.last_write = issue;
+        victim_index_.Insert(flat, meta.valid_pages, issue, status.erase_count);
+        frontier = kNoBlock;
+      }
     }
     if (frontier == kNoBlock) {
       if (plane.free_blocks.empty()) {
@@ -157,21 +175,40 @@ Result<SimTime> ConventionalSsd::AppendPage(std::uint64_t lpn, SimTime issue,
 }
 
 std::uint64_t ConventionalSsd::PickVictim(SimTime now, bool wear_migration) {
+  // Rotate the tie-break start: a fixed order breaks score ties toward the lowest block
+  // indices, which concentrates victims (and their serialized page reads) on plane 0.
+  const std::uint64_t scan_start = victim_scan_cursor_;
+  victim_scan_cursor_ =
+      (victim_scan_cursor_ + flash_.geometry().pages_per_block + 1) % block_meta_.size();
+  // Audit divergence-injection hook (see perturb_gc_at_): when armed, return the runner-up
+  // instead of the winner, once.
+  if (perturb_pending_ && !wear_migration && now >= perturb_gc_at_) {
+    const std::uint64_t runner_up = ScanForVictim(now, false, scan_start, /*runner_up=*/true);
+    if (runner_up != kNoVictim) {
+      perturb_pending_ = false;
+      return runner_up;
+    }
+  }
+  const std::uint64_t pick =
+      wear_migration ? victim_index_.PickLeastWorn(scan_start)
+      : config_.victim_policy == GcVictimPolicy::kGreedy
+          ? victim_index_.PickGreedy(scan_start)
+          : victim_index_.PickCostBenefit(scan_start, now);
+  if (pick_check_) {
+    pick_check_(pick, ScanForVictim(now, wear_migration, scan_start, /*runner_up=*/false));
+  }
+  return pick;
+}
+
+std::uint64_t ConventionalSsd::ScanForVictim(SimTime now, bool wear_migration,
+                                             std::uint64_t scan_start, bool runner_up) const {
   const FlashGeometry& g = flash_.geometry();
   const std::uint32_t ppb = g.pages_per_block;
   std::uint64_t best = kNoVictim;
   double best_score = -1.0;
-  // Audit divergence-injection hook (see perturb_gc_at_): when armed, track the runner-up
-  // and return it instead of the winner, once. The greedy dead-block shortcut is skipped in
-  // that one scan so a runner-up exists to return.
-  const bool perturb = perturb_pending_ && !wear_migration && now >= perturb_gc_at_;
+  // Tracking the runner-up skips the greedy dead-block shortcut, so a runner-up exists.
   std::uint64_t second = kNoVictim;
   double second_score = -1.0;
-
-  // Scan from a rotating start: a fixed scan order breaks score ties toward the lowest block
-  // indices, which concentrates victims (and their serialized page reads) on plane 0.
-  const std::uint64_t scan_start = victim_scan_cursor_;
-  victim_scan_cursor_ = (victim_scan_cursor_ + g.pages_per_block + 1) % block_meta_.size();
   for (std::uint64_t i = 0; i < block_meta_.size(); ++i) {
     const std::uint64_t flat = (scan_start + i) % block_meta_.size();
     const BlockMeta& meta = block_meta_[flat];
@@ -184,7 +221,7 @@ std::uint64_t ConventionalSsd::PickVictim(SimTime now, bool wear_migration) {
       continue;  // Only full blocks are victims; partial blocks are free-pool or frontiers.
     }
 
-    if (!perturb && !wear_migration && config_.victim_policy == GcVictimPolicy::kGreedy &&
+    if (!runner_up && !wear_migration && config_.victim_policy == GcVictimPolicy::kGreedy &&
         meta.valid_pages == 0) {
       return flat;  // A fully dead block is always the greedy optimum.
     }
@@ -196,14 +233,7 @@ std::uint64_t ConventionalSsd::PickVictim(SimTime now, bool wear_migration) {
     } else if (config_.victim_policy == GcVictimPolicy::kGreedy) {
       score = static_cast<double>(ppb - meta.valid_pages);
     } else {
-      const double u = static_cast<double>(meta.valid_pages) / static_cast<double>(ppb);
-      if (u == 0.0) {
-        score = std::numeric_limits<double>::max();
-      } else {
-        const double age = static_cast<double>(now > meta.last_write ? now - meta.last_write : 0) +
-                           1.0;
-        score = (1.0 - u) / (2.0 * u) * age;
-      }
+      score = VictimIndex::CostBenefitScore(meta.valid_pages, ppb, now, meta.last_write);
     }
     if (score > best_score) {
       second_score = best_score;
@@ -216,8 +246,7 @@ std::uint64_t ConventionalSsd::PickVictim(SimTime now, bool wear_migration) {
     }
   }
 
-  if (perturb && second != kNoVictim) {
-    perturb_pending_ = false;
+  if (runner_up) {
     return second;
   }
   if (!wear_migration && best != kNoVictim &&
@@ -296,6 +325,7 @@ Result<SimTime> ConventionalSsd::GcCycle(SimTime now) {
     map_.Move(ppn, new_ppn, done.value());
     BlockMeta& dest = block_meta_[new_ppn / g.pages_per_block];
     block_meta_[victim].valid_pages--;
+    victim_index_.DropValidPage(victim);
     dest.valid_pages++;
     dest.last_write = done.value();
     stats_.gc_pages_copied++;
@@ -307,6 +337,7 @@ Result<SimTime> ConventionalSsd::GcCycle(SimTime now) {
   if (!erased.ok()) {
     return erased;
   }
+  victim_index_.Remove(victim);
   stats_.gc_runs++;
   if (wear_migration) {
     stats_.wear_migrations++;
@@ -577,13 +608,20 @@ std::uint64_t ConventionalSsd::FreeBlocks() const { return free_block_count_; }
 
 Status ConventionalSsd::CheckConsistency() const {
   BLOCKHEAD_RETURN_IF_ERROR(map_.Check());
-  const std::vector<std::uint32_t> valid = map_.LiveCounts(flash_.geometry().pages_per_block);
+  const FlashGeometry& g = flash_.geometry();
+  const std::vector<std::uint32_t> valid = map_.LiveCounts(g.pages_per_block);
   for (std::uint64_t b = 0; b < block_meta_.size(); ++b) {
-    if (valid[b] != block_meta_[b].valid_pages) {
+    const BlockMeta& meta = block_meta_[b];
+    if (valid[b] != meta.valid_pages) {
       return Status(ErrorCode::kCorruption, "valid-page counter drift");
     }
+    const PhysAddr addr = AddrFromFlatBlock(g, b);
+    const BlockStatus status = flash_.block_status(addr.channel, addr.plane, addr.block);
+    const bool candidate = !meta.open && !status.bad && status.next_page >= g.pages_per_block;
+    BLOCKHEAD_RETURN_IF_ERROR(victim_index_.CheckBlock(b, candidate, meta.valid_pages,
+                                                       meta.last_write, status.erase_count));
   }
-  return Status::Ok();
+  return victim_index_.CheckTotals();
 }
 
 }  // namespace blockhead

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -26,6 +27,7 @@
 #include "src/core/strong_id.h"
 #include "src/flash/flash_device.h"
 #include "src/ftl/page_map.h"
+#include "src/ftl/victim_index.h"
 #include "src/util/status.h"
 #include "src/util/types.h"
 
@@ -55,6 +57,16 @@ struct FtlConfig {
   // stream ID and the device gives each stream its own erasure-block frontiers, so data with
   // similar lifetime is physically separated. 1 = streams off (plain block device).
   std::uint32_t num_streams = 1;
+
+  // kInvalidArgument if the FTL cannot run on `geometry`: the hard reserve must leave at least
+  // one exported block per plane.
+  Status Validate(const FlashGeometry& geometry) const {
+    if (min_reserve_blocks_per_plane >= geometry.blocks_per_plane) {
+      return Status(ErrorCode::kInvalidArgument,
+                    "min_reserve_blocks_per_plane must be below blocks_per_plane");
+    }
+    return Status::Ok();
+  }
 };
 
 struct FtlStats {
@@ -81,6 +93,7 @@ struct DramUsage {
 
 class ConventionalSsd final : public BlockDevice {
  public:
+  // Aborts, in every build type, if ftl_config.Validate(flash_config.geometry) fails.
   ConventionalSsd(const FlashConfig& flash_config, const FtlConfig& ftl_config);
   ~ConventionalSsd() override;  // Publishes final metrics and unhooks if attached.
 
@@ -127,10 +140,13 @@ class ConventionalSsd final : public BlockDevice {
   // The page-mapping table (logical page -> flat flash page).
   const PageMap& page_map() const { return map_; }
 
-  // Validates internal invariants (page map agreement, valid counters). For tests; O(capacity).
+  // Validates internal invariants (page map agreement, valid counters, the victim index). For
+  // tests; O(capacity).
   Status CheckConsistency() const;
 
  private:
+  friend class ConventionalSsdTestPeer;  // Cross-checks picks and reaches the victim index.
+
   struct PlaneState {
     std::vector<std::uint32_t> free_blocks;      // Erased blocks ready to open.
     std::vector<std::uint32_t> host_frontiers;   // Per-stream blocks receiving host writes.
@@ -158,9 +174,14 @@ class ConventionalSsd final : public BlockDevice {
   Result<SimTime> GcCycle(SimTime now);
   // Foreground GC driver: brings the free pool back above target. Returns last completion.
   SimTime MaybeForegroundGc(SimTime now);
-  // Victim selection over all full blocks. Returns flat block index or kNoVictim.
-  static constexpr std::uint64_t kNoVictim = ~0ULL;
+  // Victim selection over all closed full blocks, through the victim index. Returns flat block
+  // index or kNoVictim.
+  static constexpr std::uint64_t kNoVictim = VictimIndex::kNone;
   std::uint64_t PickVictim(SimTime now, bool wear_migration);
+  // The same selection as a linear scan over every block, from `scan_start`; with `runner_up`,
+  // returns the second-best block instead. The index's test oracle and the perturbation hook.
+  std::uint64_t ScanForVictim(SimTime now, bool wear_migration, std::uint64_t scan_start,
+                              bool runner_up) const;
   void InvalidatePage(std::uint64_t lpn, SimTime now);
   // Host-visible ack time for a buffered write whose program completes at `program_done`.
   SimTime BufferAck(SimTime data_in, SimTime program_done);
@@ -175,6 +196,7 @@ class ConventionalSsd final : public BlockDevice {
 
   PageMap map_;
   std::vector<BlockMeta> block_meta_;
+  VictimIndex victim_index_;  // Closed, full, non-bad blocks by valid count.
   std::vector<PlaneState> planes_;
   std::vector<std::uint32_t> next_host_plane_;  // Per-stream round-robin striping cursors.
   std::uint32_t next_gc_plane_ = 0;
@@ -197,6 +219,10 @@ class ConventionalSsd final : public BlockDevice {
   // a single perturbed GC decision; never set in normal runs.
   SimTime perturb_gc_at_ = 0;
   bool perturb_pending_ = false;
+
+  // Test-only, set through ConventionalSsdTestPeer: when set, every index pick is also made by
+  // ScanForVictim and both are reported.
+  std::function<void(std::uint64_t index_pick, std::uint64_t scan_pick)> pick_check_;
 };
 
 }  // namespace blockhead

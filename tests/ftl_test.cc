@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <numeric>
 #include <unordered_map>
@@ -9,6 +10,7 @@
 
 #include "src/ftl/conventional_ssd.h"
 #include "src/ftl/page_map.h"
+#include "src/ftl/victim_index.h"
 #include "src/util/rng.h"
 
 namespace blockhead {
@@ -21,6 +23,28 @@ class PageMapTestPeer {
   }
   static void SetReverse(PageMap& map, std::uint64_t phys, PageMap::Entry lpn) {
     map.reverse_[phys] = lpn;
+  }
+};
+
+class ConventionalSsdTestPeer {
+ public:
+  // Reports every GC victim pick next to the linear scan's pick from the same state.
+  static void CheckPicks(ConventionalSsd& ssd,
+                         std::function<void(std::uint64_t, std::uint64_t)> check) {
+    ssd.pick_check_ = std::move(check);
+  }
+  static VictimIndex& Index(ConventionalSsd& ssd) { return ssd.victim_index_; }
+};
+
+// Moves one member of a greedy-only index to another bucket, so CheckBlock() has something to
+// find.
+class VictimIndexTestPeer {
+ public:
+  static void MoveToBucket(VictimIndex& index, std::uint64_t block, std::uint32_t bucket) {
+    VictimIndex::Member& m = index.members_[block];
+    index.buckets_[m.bucket].Clear(block);
+    index.buckets_[bucket].Set(block);
+    m.bucket = bucket;
   }
 };
 
@@ -412,6 +436,235 @@ TEST_P(OpSweepTest, ChurnKeepsInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(OpFractions, OpSweepTest,
                          ::testing::Values(0.0, 0.07, 0.125, 0.25, 0.28));
+
+TEST(FtlConfigTest, ValidateRejectsReserveThatLeavesNoExportedBlock) {
+  const FlashGeometry g = FlashGeometry::Small();
+  FtlConfig f;
+  f.min_reserve_blocks_per_plane = g.blocks_per_plane - 1;
+  EXPECT_TRUE(f.Validate(g).ok());
+  f.min_reserve_blocks_per_plane = g.blocks_per_plane;
+  EXPECT_EQ(f.Validate(g).code(), ErrorCode::kInvalidArgument);
+  f.min_reserve_blocks_per_plane = g.blocks_per_plane + 1;
+  EXPECT_EQ(f.Validate(g).code(), ErrorCode::kInvalidArgument);
+}
+
+TEST(ConventionalSsdDeathTest, ReserveOfEveryBlockPerPlaneAborts) {
+  FtlConfig f = DefaultFtl();
+  f.min_reserve_blocks_per_plane = FlashGeometry::Small().blocks_per_plane;
+  EXPECT_DEATH(ConventionalSsd(SmallFlash(), f), "min_reserve_blocks_per_plane");
+  f.min_reserve_blocks_per_plane += 1;  // Used to wrap total_pages - reserve_pages.
+  EXPECT_DEATH(ConventionalSsd(SmallFlash(), f), "min_reserve_blocks_per_plane");
+}
+
+// --- Victim index ---
+
+TEST(VictimIndexTest, DeadBlocksGoToFirstInRotatingOrder) {
+  for (const bool by_age : {false, true}) {
+    VictimIndex index(8, 4, by_age, /*by_wear=*/true);
+    for (const std::uint64_t b : {1, 3, 6}) {
+      index.Insert(b, 0, /*last_write=*/b, /*erase_count=*/0);
+    }
+    index.Insert(4, 1, 0, 0);
+    EXPECT_EQ(index.PickGreedy(0), 1u);
+    EXPECT_EQ(index.PickGreedy(2), 3u);
+    EXPECT_EQ(index.PickGreedy(4), 6u);
+    EXPECT_EQ(index.PickGreedy(7), 1u);  // Wraps.
+    if (by_age) {
+      EXPECT_EQ(index.PickCostBenefit(4, 100), 6u);
+      EXPECT_EQ(index.PickCostBenefit(7, 100), 1u);
+    }
+  }
+}
+
+TEST(VictimIndexTest, OnlyFullyValidMembersYieldNoVictim) {
+  VictimIndex index(8, 4, /*by_age=*/true, /*by_wear=*/true);
+  EXPECT_EQ(index.PickGreedy(0), VictimIndex::kNone);
+  EXPECT_EQ(index.PickCostBenefit(0, 10), VictimIndex::kNone);
+  EXPECT_EQ(index.PickLeastWorn(0), VictimIndex::kNone);
+  index.Insert(2, 4, 5, 3);
+  index.Insert(5, 4, 1, 2);
+  EXPECT_EQ(index.PickGreedy(0), VictimIndex::kNone);
+  EXPECT_EQ(index.PickCostBenefit(0, 10), VictimIndex::kNone);
+  EXPECT_EQ(index.PickLeastWorn(0), 5u);  // Wear migration may move a fully valid block.
+  index.DropValidPage(2);
+  EXPECT_EQ(index.PickGreedy(6), 2u);
+  EXPECT_EQ(index.PickCostBenefit(6, 10), 2u);
+}
+
+TEST(VictimIndexTest, CostBenefitPrefersOldestWithinBucket) {
+  VictimIndex index(8, 4, /*by_age=*/true, /*by_wear=*/false);
+  index.Insert(1, 2, 50, 0);
+  index.Insert(5, 2, 20, 0);
+  index.Insert(6, 2, 20, 0);
+  index.Insert(2, 3, 0, 0);  // Older, but (1-u)/2u = 1/6 against 1/2: 101/6 < 81/2.
+  EXPECT_EQ(index.PickCostBenefit(0, 100), 5u);
+  EXPECT_EQ(index.PickCostBenefit(6, 100), 6u);  // Equal last writes tie: rotating order.
+  EXPECT_EQ(index.PickCostBenefit(7, 100), 5u);
+}
+
+TEST(VictimIndexTest, CostBenefitAgeClampTiesWholeBucket) {
+  VictimIndex index(8, 4, /*by_age=*/true, /*by_wear=*/false);
+  // Every member was last written at or after `now`: all ages clamp to 1, so the oldest
+  // member (block 6) has no edge and rotating order alone decides.
+  index.Insert(2, 1, 130, 0);
+  index.Insert(6, 1, 100, 0);
+  index.Insert(4, 1, 120, 0);
+  EXPECT_EQ(index.PickCostBenefit(0, 100), 2u);
+  EXPECT_EQ(index.PickCostBenefit(3, 100), 4u);
+  EXPECT_EQ(index.PickCostBenefit(5, 100), 6u);
+  EXPECT_EQ(index.PickCostBenefit(7, 100), 2u);
+  EXPECT_EQ(index.PickCostBenefit(3, 101), 6u);  // Block 6 is now 1 ns older: it wins.
+}
+
+TEST(VictimIndexTest, CostBenefitTieAcrossBucketsGoesToRotatingOrder) {
+  VictimIndex index(8, 4, /*by_age=*/true, /*by_wear=*/false);
+  // Bucket 1 scores 1.5 x age, bucket 2 scores 0.5 x age: ages 1 and 3 tie exactly at 1.5.
+  index.Insert(5, 1, 100, 0);
+  index.Insert(2, 2, 98, 0);
+  ASSERT_EQ(VictimIndex::CostBenefitScore(1, 4, 100, 100),
+            VictimIndex::CostBenefitScore(2, 4, 100, 98));
+  EXPECT_EQ(index.PickCostBenefit(0, 100), 2u);
+  EXPECT_EQ(index.PickCostBenefit(3, 100), 5u);
+  EXPECT_EQ(index.PickCostBenefit(6, 100), 2u);
+}
+
+TEST(VictimIndexTest, CostBenefitRoundingTiesSpanLastWriteRuns) {
+  VictimIndex index(8, 4, /*by_age=*/true, /*by_wear=*/false);
+  // Past 2^53 ns, ages that differ by 1 ns round to the same double, so members with
+  // different last writes tie and rotating order decides between them.
+  const SimTime now = SimTime{1} << 60;
+  index.Insert(5, 2, 0, 0);
+  index.Insert(2, 2, 1, 0);
+  ASSERT_EQ(VictimIndex::CostBenefitScore(2, 4, now, 0),
+            VictimIndex::CostBenefitScore(2, 4, now, 1));
+  EXPECT_EQ(index.PickCostBenefit(0, now), 2u);
+  EXPECT_EQ(index.PickCostBenefit(3, now), 5u);
+}
+
+TEST(VictimIndexTest, LeastWornTiesGoToRotatingOrder) {
+  VictimIndex index(8, 4, /*by_age=*/false, /*by_wear=*/true);
+  index.Insert(1, 4, 0, 7);
+  index.Insert(3, 0, 0, 2);
+  index.Insert(6, 3, 0, 2);
+  EXPECT_EQ(index.PickLeastWorn(0), 3u);
+  EXPECT_EQ(index.PickLeastWorn(4), 6u);
+  EXPECT_EQ(index.PickLeastWorn(7), 3u);
+  index.Remove(3);
+  index.Remove(6);
+  EXPECT_EQ(index.PickLeastWorn(4), 1u);
+  EXPECT_TRUE(index.CheckTotals().ok());
+}
+
+struct PickTraceCase {
+  const char* name;
+  GcVictimPolicy policy;
+  std::uint32_t wear_migrate_interval;
+  std::uint32_t num_streams;
+  double early_failure_prob;
+};
+
+class VictimIndexTraceTest : public ::testing::TestWithParam<PickTraceCase> {};
+
+// Seeded random traces (multi-stream writes, skewed overwrites, trims, background GC, issue
+// times that sometimes step back): before every GC cycle the index must pick exactly the block
+// the linear scan picks, and CheckConsistency must hold throughout.
+TEST_P(VictimIndexTraceTest, IndexPickMatchesLinearScan) {
+  const PickTraceCase& c = GetParam();
+  for (const std::uint64_t seed : {1, 2}) {
+    FlashConfig fc = SmallFlash();
+    fc.store_data = false;
+    fc.early_failure_prob = c.early_failure_prob;
+    fc.seed = seed;
+    FtlConfig f;
+    f.op_fraction = 0.1;
+    f.victim_policy = c.policy;
+    f.wear_migrate_interval = c.wear_migrate_interval;
+    f.num_streams = c.num_streams;
+    ConventionalSsd ssd(fc, f);
+    std::uint64_t picks = 0;
+    ConventionalSsdTestPeer::CheckPicks(ssd, [&](std::uint64_t index_pick,
+                                                 std::uint64_t scan_pick) {
+      ++picks;
+      ASSERT_EQ(index_pick, scan_pick) << "pick " << picks << " seed " << seed;
+    });
+    Rng rng(seed);
+    SimTime t = 0;
+    const std::uint64_t n = ssd.num_blocks();
+    const std::uint64_t hot = n / 5;
+    for (std::uint64_t i = 0; i < 4 * n && !HasFatalFailure(); ++i) {
+      const SimTime issue = rng.NextBool(0.1) ? t - std::min<SimTime>(t, rng.NextBelow(5000)) : t;
+      const std::uint64_t lba = rng.NextBool(0.8) ? rng.NextBelow(hot) : rng.NextBelow(n);
+      const std::uint32_t count =
+          static_cast<std::uint32_t>(std::min<std::uint64_t>(1 + rng.NextBelow(4), n - lba));
+      if (rng.NextBool(0.05)) {
+        ASSERT_TRUE(ssd.TrimBlocks(Lba{lba}, count, issue).ok());
+      } else if (rng.NextBool(0.02)) {
+        ssd.RunBackgroundGc(issue, 1 + static_cast<std::uint32_t>(rng.NextBelow(4)));
+      } else {
+        const std::uint32_t stream = static_cast<std::uint32_t>(rng.NextBelow(c.num_streams));
+        auto w = ssd.WriteBlocksStream(Lba{lba}, count, stream, issue);
+        if (!w.ok()) {
+          ASSERT_GT(c.early_failure_prob, 0.0) << w.status().ToString();
+          break;  // Early failures used up the spare blocks.
+        }
+        t = std::max(t, w.value());
+      }
+      if (i % (n / 2) == 0) {
+        ASSERT_TRUE(ssd.CheckConsistency().ok());
+      }
+    }
+    EXPECT_GT(picks, 200u);
+    EXPECT_TRUE(ssd.CheckConsistency().ok());
+    if (c.wear_migrate_interval != 0) {
+      EXPECT_GT(ssd.ftl_stats().wear_migrations, 0u);
+    }
+    if (c.early_failure_prob > 0.0) {
+      EXPECT_GT(ssd.flash().ComputeWear().bad_blocks, 0u);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, VictimIndexTraceTest,
+    ::testing::Values(
+        PickTraceCase{"Greedy", GcVictimPolicy::kGreedy, 64, 1, 0.0},
+        PickTraceCase{"GreedyNoMigration", GcVictimPolicy::kGreedy, 0, 1, 0.0},
+        PickTraceCase{"GreedyMigrateEveryCycle4Streams", GcVictimPolicy::kGreedy, 1, 4, 0.0},
+        PickTraceCase{"CostBenefit", GcVictimPolicy::kCostBenefit, 64, 1, 0.0},
+        PickTraceCase{"CostBenefitMigrateEveryCycle4Streams", GcVictimPolicy::kCostBenefit, 1,
+                      4, 0.0},
+        PickTraceCase{"GreedyBadBlocks", GcVictimPolicy::kGreedy, 64, 1, 0.01},
+        PickTraceCase{"CostBenefitBadBlocks4Streams", GcVictimPolicy::kCostBenefit, 64, 4,
+                      0.01}),
+    [](const ::testing::TestParamInfo<PickTraceCase>& c) { return c.param.name; });
+
+TEST(ConventionalSsdTest, CheckConsistencyCatchesCorruptVictimIndex) {
+  FlashConfig fc = SmallFlash();
+  fc.store_data = false;
+  ConventionalSsd ssd(fc, DefaultFtl());
+  Rng rng(3);
+  SimTime t = 0;
+  for (std::uint64_t i = 0; i < 2 * ssd.num_blocks(); ++i) {
+    auto w = ssd.WriteBlocks(Lba{rng.NextBelow(ssd.num_blocks())}, 1, t);
+    ASSERT_TRUE(w.ok());
+    t = w.value();
+  }
+  ASSERT_TRUE(ssd.CheckConsistency().ok());
+  VictimIndex& index = ConventionalSsdTestPeer::Index(ssd);
+  std::uint64_t member = 0;
+  while (!index.Contains(member)) {
+    ++member;
+  }
+  const std::uint32_t ppb = ssd.flash().geometry().pages_per_block;
+  const std::uint32_t valid = static_cast<std::uint32_t>(
+      ssd.page_map().LiveCounts(ppb)[member]);
+  VictimIndexTestPeer::MoveToBucket(index, member, valid == 0 ? 1 : valid - 1);
+  const Status s = ssd.CheckConsistency();
+  EXPECT_EQ(s.code(), ErrorCode::kCorruption);
+  EXPECT_NE(s.message().find("bucket"), std::string::npos) << s.message();
+  VictimIndexTestPeer::MoveToBucket(index, member, valid);
+  EXPECT_TRUE(ssd.CheckConsistency().ok());
+}
 
 // --- PageMap ---
 
