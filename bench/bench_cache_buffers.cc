@@ -115,7 +115,7 @@ int RunBench(const BenchOptions& opts, Telemetry& tel) {
   {
     ZnsDevice dev(cfg.flash, cfg.zns);
     dev.AttachTelemetry(&tel, "zns");
-    ZnsFlashCache cache(&dev, ZnsCacheConfig{});
+    ZnsFlashCache cache(&dev);
     cache.AttachTelemetry(&tel, "zns.cache");
     const CacheRunResult r = Drive(cache, dev.flash());
     table.AddRow({"ZNS, zone-per-segment", TablePrinter::Fmt(r.hit_ratio, 3),

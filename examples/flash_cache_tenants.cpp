@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   cfg.zns.max_active_zones = 6;
   cfg.zns.max_open_zones = 6;
   ZnsDevice cache_dev(cfg.flash, cfg.zns);
-  ZnsFlashCache cache(&cache_dev, ZnsCacheConfig{});
+  ZnsFlashCache cache(&cache_dev);
 
   ZipfGenerator keys(20000, 0.9, 1);
   Rng rng(2);

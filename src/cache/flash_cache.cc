@@ -290,8 +290,7 @@ Result<CacheGetResult> BlockFlashCache::Get(std::uint64_t key, SimTime now) {
 
 // --- ZnsFlashCache ---
 
-ZnsFlashCache::ZnsFlashCache(ZnsDevice* device, const ZnsCacheConfig& config)
-    : device_(device), config_(config) {
+ZnsFlashCache::ZnsFlashCache(ZnsDevice* device) : device_(device) {
   zone_keys_.resize(device_->num_zones());
   free_zones_.reserve(device_->num_zones());
   for (std::uint32_t z = device_->num_zones(); z > 0; --z) {

@@ -183,14 +183,9 @@ class BlockFlashCache final : public FlashCache {
   CacheStats stats_;
 };
 
-struct ZnsCacheConfig {
-  // Zones kept free ahead of the write frontier (reset happens on demand).
-  std::uint32_t reserve_zones = 1;
-};
-
 class ZnsFlashCache final : public FlashCache {
  public:
-  ZnsFlashCache(ZnsDevice* device, const ZnsCacheConfig& config);
+  explicit ZnsFlashCache(ZnsDevice* device);
 
   Result<SimTime> Put(std::uint64_t key, std::uint32_t size_bytes, SimTime now) override;
   Result<CacheGetResult> Get(std::uint64_t key, SimTime now) override;
@@ -212,7 +207,6 @@ class ZnsFlashCache final : public FlashCache {
   }
 
   ZnsDevice* device_;
-  ZnsCacheConfig config_;
   std::unordered_map<std::uint64_t, Location> index_;
   std::vector<std::vector<std::uint64_t>> zone_keys_;
   std::deque<std::uint32_t> zone_fifo_;  // Filled zones, oldest first.

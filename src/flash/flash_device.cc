@@ -8,7 +8,7 @@
 namespace blockhead {
 
 FlashDevice::FlashDevice(const FlashConfig& config) : config_(config), rng_(config.seed) {
-  assert(config_.geometry.Validate().ok());
+  CheckConfig(config_.geometry.Validate(), "FlashGeometry");
   blocks_.resize(config_.geometry.total_blocks());
   plane_busy_.assign(config_.geometry.total_planes(), 0);
   channel_busy_.assign(config_.geometry.channels, 0);

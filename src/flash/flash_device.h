@@ -76,6 +76,7 @@ struct BlockStatus {
 
 class FlashDevice {
  public:
+  // Aborts, in every build type, if config.geometry.Validate() fails.
   explicit FlashDevice(const FlashConfig& config);
   ~FlashDevice();  // Publishes final metrics and unhooks from the registry if attached.
 

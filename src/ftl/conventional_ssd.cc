@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 
@@ -13,10 +11,7 @@ ConventionalSsd::ConventionalSsd(const FlashConfig& flash_config, const FtlConfi
     : flash_(flash_config), config_(ftl_config) {
   const FlashGeometry& g = flash_.geometry();
   // An invalid reserve would wrap total_pages - reserve_pages below (or export nothing).
-  if (const Status valid = config_.Validate(g); !valid.ok()) {
-    std::fprintf(stderr, "blockhead: invalid FtlConfig: %s\n", valid.ToString().c_str());
-    std::abort();
-  }
+  CheckConfig(config_.Validate(g), "FtlConfig");
   const std::uint64_t total_pages = g.total_pages();
   const std::uint64_t reserve_pages = static_cast<std::uint64_t>(
                                           config_.min_reserve_blocks_per_plane) *
@@ -412,7 +407,7 @@ std::uint32_t ConventionalSsd::RunBackgroundGc(SimTime now, std::uint32_t max_cy
 
 SimTime ConventionalSsd::BufferAck(SimTime data_in, SimTime program_done) {
   inflight_program_completions_.push_back(program_done);
-  if (inflight_program_completions_.size() <= config_.write_buffer_pages) {
+  if (inflight_program_completions_.size() <= kWriteBufferPages) {
     return data_in;  // Buffer slot immediately available.
   }
   const SimTime slot_free = inflight_program_completions_.front();
@@ -600,7 +595,7 @@ DramUsage ConventionalSsd::ComputeDramUsage() const {
   DramUsage u;
   u.mapping_bytes = map_.forward_bytes();  // 4 B per page-mapping entry (paper §2.2).
   u.gc_metadata_bytes = map_.reverse_bytes() + g.total_blocks() * 4 /* valid counts */;
-  u.write_buffer_bytes = static_cast<std::uint64_t>(config_.write_buffer_pages) * g.page_size;
+  u.write_buffer_bytes = static_cast<std::uint64_t>(kWriteBufferPages) * g.page_size;
   return u;
 }
 

@@ -44,9 +44,6 @@ struct FtlConfig {
   // device remains operable (real "0% OP" drives do the same).
   double op_fraction = 0.07;
   GcVictimPolicy victim_policy = GcVictimPolicy::kGreedy;
-  // Device DRAM write buffer, in pages. Writes are acknowledged when buffered; the buffer
-  // drains at cell-program speed.
-  std::uint32_t write_buffer_pages = 64;
   // Enable least-worn allocation + periodic cold-block migration.
   bool wear_leveling = true;
   // Every this many GC cycles, spend one cycle migrating the least-worn full block.
@@ -93,6 +90,10 @@ struct DramUsage {
 
 class ConventionalSsd final : public BlockDevice {
  public:
+  // Device DRAM write buffer, in pages. Writes are acknowledged when buffered; the buffer
+  // drains at cell-program speed.
+  static constexpr std::uint32_t kWriteBufferPages = 64;
+
   // Aborts, in every build type, if ftl_config.Validate(flash_config.geometry) fails.
   ConventionalSsd(const FlashConfig& flash_config, const FtlConfig& ftl_config);
   ~ConventionalSsd() override;  // Publishes final metrics and unhooks if attached.

@@ -9,8 +9,7 @@ namespace blockhead {
 HostFtlBlockDevice::HostFtlBlockDevice(ZnsDevice* device, const HostFtlConfig& config)
     : device_(device),
       config_(config),
-      reclaimer_(device, config.sched, /*first_zone=*/0, config.gc_max_live_fraction,
-                 config.gc_step_pages) {
+      reclaimer_(device, config.sched, /*first_zone=*/0, kGcMaxLiveFraction, kGcStepPages) {
   const std::uint32_t zones = device_->num_zones();
   zone_pages_ = device_->zone_size_pages();
   const std::uint64_t physical_pages = static_cast<std::uint64_t>(zones) * zone_pages_;

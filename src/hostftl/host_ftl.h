@@ -39,12 +39,6 @@ struct HostFtlConfig {
   bool use_simple_copy = true;
   // Issue host writes as zone appends instead of write-pointer writes.
   bool use_append = false;
-  // Opportunistic reclamation only touches zones at most this live (copying nearly-live zones
-  // costs more than it reclaims). Critical reclamation ignores it.
-  double gc_max_live_fraction = 0.90;
-  // Pages relocated per Pump step: reclamation trickles alongside foreground I/O instead of
-  // copying a whole zone in one burst.
-  std::uint32_t gc_step_pages = 32;
   GcSchedulerConfig sched;
 };
 
@@ -62,6 +56,13 @@ struct HostFtlStats {
 
 class HostFtlBlockDevice final : public BlockDevice {
  public:
+  // Opportunistic reclamation only touches zones at most this live (copying nearly-live zones
+  // costs more than it reclaims). Critical reclamation ignores it.
+  static constexpr double kGcMaxLiveFraction = 0.90;
+  // Pages relocated per Pump step: reclamation trickles alongside foreground I/O instead of
+  // copying a whole zone in one burst.
+  static constexpr std::uint32_t kGcStepPages = 32;
+
   // `device` must outlive this object. The host FTL takes over the whole device.
   HostFtlBlockDevice(ZnsDevice* device, const HostFtlConfig& config);
   ~HostFtlBlockDevice() override;  // Publishes final metrics and unhooks if attached.

@@ -6,32 +6,26 @@
 
 namespace blockhead {
 
-BlockEnv::BlockEnv(BlockDevice* device, const BlockEnvConfig& config)
+BlockEnv::BlockEnv(BlockDevice* device)
     : device_(device),
-      config_(config),
       page_size_(device->block_size()),
+      metadata_region_pages_(
+          std::min<std::uint64_t>(kMetadataRegionPages, device->num_blocks() / 2)),
       free_map_(device->num_blocks()) {
   // Reserve the metadata region: those LBAs belong to inode tables / bitmaps / journal and
   // are never handed to file data.
-  const std::uint64_t reserved =
-      std::min<std::uint64_t>(config_.metadata_region_pages, device->num_blocks() / 2);
-  for (std::uint64_t p = 0; p < reserved; ++p) {
+  for (std::uint64_t p = 0; p < metadata_region_pages_; ++p) {
     free_map_.Set(p);
   }
-  alloc_cursor_ = reserved;
+  alloc_cursor_ = metadata_region_pages_;
 }
 
 Result<SimTime> BlockEnv::MetadataUpdate(std::uint32_t pages, SimTime now) {
-  if (config_.metadata_region_pages == 0 || pages == 0) {
-    return now;
-  }
-  const std::uint64_t region =
-      std::min<std::uint64_t>(config_.metadata_region_pages, device_->num_blocks() / 2);
   SimTime t = now;
   for (std::uint32_t i = 0; i < pages; ++i) {
     // Deterministic scatter over the region (golden-ratio walk): hot in-place overwrites.
     metadata_cursor_ += 0x9E3779B97F4A7C15ULL;
-    const std::uint64_t lba = (metadata_cursor_ >> 16) % region;
+    const std::uint64_t lba = (metadata_cursor_ >> 16) % metadata_region_pages_;
     Result<SimTime> written = device_->WriteBlocks(Lba{lba}, 1, t);
     if (!written.ok()) {
       return written;
@@ -52,7 +46,7 @@ const BlockEnv::FileMeta* BlockEnv::Find(std::string_view name) const {
 }
 
 Result<BlockEnv::Extent> BlockEnv::AllocateRun(std::uint32_t want) {
-  want = std::min(want, config_.max_extent_pages);
+  want = std::min(want, kMaxExtentPages);
   // First fit, scanning from a roving cursor (classic ext-style allocation: keeps churny
   // workloads from always reusing the lowest addresses, spreading fragmentation).
   for (int pass = 0; pass < 2; ++pass) {
@@ -86,7 +80,7 @@ Result<SimTime> BlockEnv::CreateFile(std::string_view name, Lifetime hint, SimTi
   FileMeta meta;
   meta.hint = hint;  // Stored for introspection; the block path cannot act on it.
   files_.emplace(std::string(name), std::move(meta));
-  return MetadataUpdate(config_.metadata_writes_per_op, now);
+  return MetadataUpdate(kMetadataWritesPerOp, now);
 }
 
 Result<SimTime> BlockEnv::FlushTailPage(FileMeta& file, SimTime now, bool pad) {
@@ -132,8 +126,7 @@ Result<SimTime> BlockEnv::FlushTailPage(FileMeta& file, SimTime now, bool pad) {
     return done;
   }
   file.tail.erase(file.tail.begin(), file.tail.begin() + static_cast<std::ptrdiff_t>(bytes));
-  if (config_.data_pages_per_metadata_update != 0 &&
-      ++data_pages_since_metadata_ >= config_.data_pages_per_metadata_update) {
+  if (++data_pages_since_metadata_ >= kDataPagesPerMetadataUpdate) {
     data_pages_since_metadata_ = 0;
     return MetadataUpdate(1, done.value());
   }
@@ -225,7 +218,7 @@ Result<SimTime> BlockEnv::Sync(std::string_view name, SimTime now) {
     }
     t = flushed.value();
   }
-  return MetadataUpdate(config_.metadata_writes_per_op, t);
+  return MetadataUpdate(kMetadataWritesPerOp, t);
 }
 
 Result<SimTime> BlockEnv::DeleteFile(std::string_view name, SimTime now) {
@@ -246,7 +239,7 @@ Result<SimTime> BlockEnv::DeleteFile(std::string_view name, SimTime now) {
     t = trimmed.value();
   }
   files_.erase(it);
-  return MetadataUpdate(config_.metadata_writes_per_op, t);
+  return MetadataUpdate(kMetadataWritesPerOp, t);
 }
 
 Result<std::uint64_t> BlockEnv::FileSize(std::string_view name) const {

@@ -25,26 +25,21 @@
 
 namespace blockhead {
 
-struct BlockEnvConfig {
-  // Largest contiguous run requested per allocation. Smaller values fragment files more
-  // aggressively (stress knob for the FTL).
-  std::uint32_t max_extent_pages = 64;
-  // Filesystem metadata model: block filesystems overwrite inode tables, allocation bitmaps,
-  // and journal blocks in place. These hot, small overwrites share erasure blocks with cold
-  // file data inside the device — the FTL cannot separate them (the paper's §4.1 information
-  // barrier) — and they are a primary source of conventional-SSD write amplification.
-  // LBAs [0, metadata_region_pages) are reserved for this traffic; 0 disables the model.
-  std::uint32_t metadata_region_pages = 1024;
-  // Metadata pages overwritten per namespace operation (create/delete/sync).
-  std::uint32_t metadata_writes_per_op = 2;
-  // One allocation-bitmap update per this many data pages written.
-  std::uint32_t data_pages_per_metadata_update = 16;
-};
-
 class BlockEnv final : public Env {
  public:
+  // Largest contiguous run requested per allocation.
+  static constexpr std::uint32_t kMaxExtentPages = 64;
+  // In-place metadata (inode tables, bitmaps, journal): hot small overwrites that share erasure
+  // blocks with cold file data, which the FTL cannot separate (§4.1), a primary source of
+  // conventional-SSD write amplification. They land in the first kMetadataRegionPages LBAs (at
+  // most half the device): kMetadataWritesPerOp pages per create/delete/sync, and one page per
+  // kDataPagesPerMetadataUpdate data pages.
+  static constexpr std::uint32_t kMetadataRegionPages = 1024;
+  static constexpr std::uint32_t kMetadataWritesPerOp = 2;
+  static constexpr std::uint32_t kDataPagesPerMetadataUpdate = 16;
+
   // `device` must outlive the env.
-  explicit BlockEnv(BlockDevice* device, const BlockEnvConfig& config = {});
+  explicit BlockEnv(BlockDevice* device);
 
   Result<SimTime> CreateFile(std::string_view name, Lifetime hint, SimTime now) override;
   Result<SimTime> Append(std::string_view name, std::span<const std::uint8_t> data,
@@ -81,8 +76,8 @@ class BlockEnv final : public Env {
   Result<SimTime> MetadataUpdate(std::uint32_t pages, SimTime now);
 
   BlockDevice* device_;
-  BlockEnvConfig config_;
   std::uint32_t page_size_;
+  std::uint64_t metadata_region_pages_;  // LBAs [0, this) take the metadata traffic.
   Bitmap free_map_;  // Set bit = page in use.
   std::size_t alloc_cursor_ = 0;
   std::uint64_t metadata_cursor_ = 0;  // Pseudo-random walk over the metadata region.

@@ -17,6 +17,10 @@ constexpr std::uint8_t kManifestWal = 3;
 constexpr std::uint8_t kWalValue = 1;
 constexpr std::uint8_t kWalTombstone = 2;
 constexpr const char* kManifestName = "MANIFEST";
+// L0 depth that triggers an L0 -> L1 compaction.
+constexpr std::size_t kL0CompactionTrigger = 4;
+// L0 depth at which incoming writes stall until compaction catches up.
+constexpr std::size_t kL0StallTrigger = 12;
 
 // Strings are stored with a u16 length prefix.
 void PutString(std::vector<std::uint8_t>& out, std::string_view s) {
@@ -275,14 +279,7 @@ Result<SimTime> KvStore::WriteWalRecord(std::string_view key, KvEntryType type,
   if (type == KvEntryType::kValue) {
     PutString(rec, value);
   }
-  Result<SimTime> appended = env_->Append(WalName(wal_number_), rec, now);
-  if (!appended.ok()) {
-    return appended;
-  }
-  if (config_.sync_wal_every_put) {
-    return env_->Sync(WalName(wal_number_), appended.value());
-  }
-  return appended;
+  return env_->Append(WalName(wal_number_), rec, now);
 }
 
 Result<SimTime> KvStore::ApplyWrite(std::string_view key, KvEntryType type,
@@ -358,11 +355,7 @@ Result<SimTime> KvStore::FlushMemtable(SimTime now) {
   WriteProvenance::CauseScope cause(ProvenanceOf(telemetry_), WriteCause::kLsmFlush,
                                     StackLayer::kKv);
   const std::uint32_t file_number = next_file_number_++;
-  SSTableBuilderOptions opts;
-  opts.block_bytes = config_.block_bytes;
-  opts.bloom_bits_per_key = config_.bloom_bits_per_key;
-  opts.hint = HintForLevel(0);
-  SSTableBuilder builder(env_, TableName(file_number), opts);
+  SSTableBuilder builder(env_, TableName(file_number), HintForLevel(0));
   BLOCKHEAD_RETURN_IF_ERROR(builder.Start(now));
   for (const auto& [key, value] : memtable_) {
     BLOCKHEAD_RETURN_IF_ERROR(builder.Add(
@@ -430,7 +423,7 @@ Result<SimTime> KvStore::FlushMemtable(SimTime now) {
   if (!compacted.ok()) {
     return compacted;
   }
-  if (levels_[0].size() >= config_.l0_stall_trigger) {
+  if (levels_[0].size() >= kL0StallTrigger) {
     stall_until_ = std::max(stall_until_, compacted.value());
     stats_.stall_events++;
   }
@@ -462,7 +455,7 @@ Result<SimTime> KvStore::MaybeCompact(SimTime now) {
   SimTime t = now;
   while (true) {
     std::uint32_t level_to_compact = config_.max_levels;
-    if (levels_[0].size() >= config_.l0_compaction_trigger) {
+    if (levels_[0].size() >= kL0CompactionTrigger) {
       level_to_compact = 0;
     } else {
       for (std::uint32_t level = 1; level + 1 < config_.max_levels; ++level) {
@@ -551,10 +544,7 @@ Result<SimTime> KvStore::CompactLevel(std::uint32_t level, SimTime now) {
   std::vector<TableMeta> outputs;
   std::unique_ptr<SSTableBuilder> builder;
   std::uint32_t builder_file_number = 0;
-  SSTableBuilderOptions opts;
-  opts.block_bytes = config_.block_bytes;
-  opts.bloom_bits_per_key = config_.bloom_bits_per_key;
-  opts.hint = HintForLevel(out_level);
+  const Lifetime hint = HintForLevel(out_level);
 
   auto finish_builder = [&]() -> Status {
     if (builder == nullptr || builder->entry_count() == 0) {
@@ -589,7 +579,7 @@ Result<SimTime> KvStore::CompactLevel(std::uint32_t level, SimTime now) {
     }
     if (builder == nullptr) {
       builder_file_number = next_file_number_++;
-      builder = std::make_unique<SSTableBuilder>(env_, TableName(builder_file_number), opts);
+      builder = std::make_unique<SSTableBuilder>(env_, TableName(builder_file_number), hint);
       BLOCKHEAD_RETURN_IF_ERROR(builder->Start(t));
     }
     BLOCKHEAD_RETURN_IF_ERROR(builder->Add(key, entry.type, entry.value, t));

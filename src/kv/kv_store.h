@@ -31,17 +31,10 @@ namespace blockhead {
 
 struct KvConfig {
   std::uint64_t memtable_bytes = 256 * kKiB;
-  std::uint32_t l0_compaction_trigger = 4;
-  // L0 depth at which incoming writes stall until compaction catches up.
-  std::uint32_t l0_stall_trigger = 12;
   std::uint64_t level_base_bytes = 1 * kMiB;  // Target size of L1.
   double level_multiplier = 8.0;
   std::uint32_t max_levels = 5;
   std::uint64_t target_table_bytes = 256 * kKiB;
-  std::uint32_t block_bytes = 4096;
-  std::uint32_t bloom_bits_per_key = 10;
-  // Sync the WAL on every Put (true fsync durability) or rely on page-fill flushing.
-  bool sync_wal_every_put = false;
   // Rewrite the MANIFEST as a fresh snapshot once it grows past this size (space reclaim).
   std::uint64_t manifest_roll_bytes = 256 * kKiB;
 };

@@ -13,6 +13,9 @@ constexpr std::uint64_t kTableMagic = 0x31424154534E5A42ULL;  // "BZNSTAB1"
 constexpr std::size_t kFooterBytes = 48;
 // Upper bound on a bloom filter's hash count (Build clamps k to [1, kMaxHashes]).
 constexpr std::uint32_t kMaxHashes = 16;
+// The builder flushes a data block once it reaches this many bytes.
+constexpr std::uint32_t kSSTableBlockBytes = 4096;
+constexpr std::uint32_t kBloomBitsPerKey = 10;
 
 // FNV-1a 64-bit.
 std::uint64_t HashKey(std::string_view key, std::uint64_t seed) {
@@ -94,11 +97,11 @@ Result<BloomFilter> BloomFilter::Deserialize(std::span<const std::uint8_t> bytes
 
 // --- SSTableBuilder ---
 
-SSTableBuilder::SSTableBuilder(Env* env, std::string name, const SSTableBuilderOptions& options)
-    : env_(env), name_(std::move(name)), options_(options) {}
+SSTableBuilder::SSTableBuilder(Env* env, std::string name, Lifetime hint)
+    : env_(env), name_(std::move(name)), hint_(hint) {}
 
 Status SSTableBuilder::Start(SimTime now) {
-  Result<SimTime> created = env_->CreateFile(name_, options_.hint, now);
+  Result<SimTime> created = env_->CreateFile(name_, hint_, now);
   if (!created.ok()) {
     return created.status();
   }
@@ -142,7 +145,7 @@ Status SSTableBuilder::Add(std::string_view key, KvEntryType type, std::string_v
   block_last_key_ = std::string(key);
   keys_.emplace_back(key);
   entry_count_++;
-  if (block_.size() >= options_.block_bytes) {
+  if (block_.size() >= kSSTableBlockBytes) {
     return FlushBlock(now);
   }
   return Status::Ok();
@@ -162,7 +165,7 @@ Result<SimTime> SSTableBuilder::Finish(SimTime now) {
   }
   const std::uint64_t index_len = tail.size();
 
-  const BloomFilter bloom = BloomFilter::Build(keys_, options_.bloom_bits_per_key);
+  const BloomFilter bloom = BloomFilter::Build(keys_, kBloomBitsPerKey);
   const std::vector<std::uint8_t> bloom_bytes = bloom.Serialize();
   const std::uint64_t bloom_off = index_off + index_len;
   tail.insert(tail.end(), bloom_bytes.begin(), bloom_bytes.end());

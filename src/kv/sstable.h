@@ -53,17 +53,12 @@ class BloomFilter {
   std::vector<std::uint8_t> bits_;
 };
 
-struct SSTableBuilderOptions {
-  std::uint32_t block_bytes = 4096;
-  std::uint32_t bloom_bits_per_key = 10;
-  Lifetime hint = Lifetime::kMedium;
-};
-
 // Streams sorted entries into a new file. Add() must be called in strictly increasing key
 // order; Finish() writes index/bloom/footer and syncs.
 class SSTableBuilder {
  public:
-  SSTableBuilder(Env* env, std::string name, const SSTableBuilderOptions& options);
+  // `hint` is the lifetime class the file is created with.
+  SSTableBuilder(Env* env, std::string name, Lifetime hint);
 
   Status Start(SimTime now);  // Creates the file.
   Status Add(std::string_view key, KvEntryType type, std::string_view value, SimTime now);
@@ -88,7 +83,7 @@ class SSTableBuilder {
 
   Env* env_;
   std::string name_;
-  SSTableBuilderOptions options_;
+  Lifetime hint_;
   std::vector<std::uint8_t> block_;
   std::vector<IndexEntry> index_;
   std::vector<std::string> keys_;  // For the bloom filter.

@@ -115,7 +115,8 @@ YcsbResult YcsbRun(KvStore& store, YcsbWorkload workload, const YcsbConfig& conf
   };
 
   auto do_scan = [&]() -> Status {
-    const std::size_t len = 1 + rng.NextBelow(config.max_scan_length);
+    constexpr std::uint32_t kMaxScanLength = 50;  // Scans are uniform in [1, 50] entries.
+    const std::size_t len = 1 + rng.NextBelow(kMaxScanLength);
     auto s = store.Scan(KeyOf(pick_key()), len, t);
     if (!s.ok()) {
       return s.status();

@@ -25,7 +25,6 @@ struct YcsbConfig {
   std::uint64_t operation_count = 50000;
   std::size_t value_bytes = 120;
   double zipf_theta = 0.9;
-  std::uint32_t max_scan_length = 50;
   std::uint64_t seed = 77;
 };
 

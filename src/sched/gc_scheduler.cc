@@ -39,7 +39,7 @@ bool GcScheduler::ShouldRun(double free_fraction, bool reads_pending, SimTime no
     case GcSchedPolicy::kReadPriority:
       return allow(!reads_pending);
     case GcSchedPolicy::kRateLimited:
-      return allow(!has_run_ || now >= last_run_ + config_.min_gc_interval);
+      return allow(!has_run_ || now >= last_run_ + kMinGcInterval);
   }
   return allow(false);
 }

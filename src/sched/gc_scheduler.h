@@ -23,7 +23,8 @@ enum class GcSchedPolicy {
   // Like kBackground, but never run maintenance while foreground reads are pending (unless
   // space is critical). Trades write headroom for read tail latency.
   kReadPriority,
-  // Like kBackground, but at most one GC cycle per min_gc_interval (smooths erase bursts).
+  // Like kBackground, but at most one GC cycle per GcScheduler::kMinGcInterval (smooths
+  // erase bursts).
   kRateLimited,
 };
 
@@ -35,8 +36,6 @@ struct GcSchedulerConfig {
   double critical_free_fraction = 0.04;
   // Free-space fraction below which opportunistic reclamation starts.
   double low_free_fraction = 0.20;
-  // Minimum spacing between GC cycles for kRateLimited.
-  SimTime min_gc_interval = 2 * kMillisecond;
 };
 
 // Decision tallies, exported by ZoneReclaimer under `<prefix>.sched.*`.
@@ -53,6 +52,9 @@ struct GcSchedStats {
 // is pending; the scheduler says whether a GC cycle may run now.
 class GcScheduler {
  public:
+  // Minimum spacing between GC cycles for kRateLimited.
+  static constexpr SimTime kMinGcInterval = 2 * kMillisecond;
+
   explicit GcScheduler(const GcSchedulerConfig& config) : config_(config) {}
 
   const GcSchedulerConfig& config() const { return config_; }

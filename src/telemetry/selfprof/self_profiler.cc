@@ -224,6 +224,7 @@ SelfProfSample SelfProfiler::Sample() const {
   s.rss_bytes = ReadRssBytes();
   s.peak_rss_bytes = ReadPeakRssBytes();
   s.heap_bytes = ReadHeapBytes();
+  s.cells = cells_;
   return s;
 }
 
@@ -240,12 +241,17 @@ void SelfProfiler::PublishTo(MetricRegistry& registry) const {
   registry.GetCounter(p + "peak_rss_bytes")->Set(s.peak_rss_bytes);
   registry.GetCounter(p + "heap_bytes")->Set(s.heap_bytes);
   registry.GetCounter(p + "trace_slices_dropped")->Set(slices_dropped_);
+  PublishCells(registry, s.cells);
+}
+
+void SelfProfiler::PublishCells(MetricRegistry& registry, const ProfCells& cells) {
+  const std::string p = kHostMetricPrefix;
   for (std::size_t sub = 0; sub < static_cast<std::size_t>(ProfSubsystem::kCount); ++sub) {
     std::uint64_t sub_self = 0;
     std::uint64_t sub_count = 0;
     for (std::size_t op = 0; op < static_cast<std::size_t>(ProfOp::kCount); ++op) {
       const ProfCell& c =
-          cells_[CellIndex(static_cast<ProfSubsystem>(sub), static_cast<ProfOp>(op))];
+          cells[CellIndex(static_cast<ProfSubsystem>(sub), static_cast<ProfOp>(op))];
       if (c.count == 0) {
         continue;
       }

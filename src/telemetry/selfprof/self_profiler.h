@@ -107,6 +107,10 @@ struct ProfCell {
   std::uint64_t self_ns = 0;   // Exclusive: total minus time in child scopes.
 };
 
+// Every (subsystem, op) cell, indexed subsystem-major.
+using ProfCells = std::array<ProfCell, static_cast<std::size_t>(ProfSubsystem::kCount) *
+                                           static_cast<std::size_t>(ProfOp::kCount)>;
+
 // Derived metrics at one sampling instant (bench_main medians these across --repeat runs).
 struct SelfProfSample {
   std::uint64_t wall_elapsed_ns = 0;  // Enable() -> now.
@@ -118,6 +122,7 @@ struct SelfProfSample {
   std::uint64_t rss_bytes = 0;       // Current resident set (0 where unsupported).
   std::uint64_t peak_rss_bytes = 0;  // High-water resident set.
   std::uint64_t heap_bytes = 0;      // Allocator-reported in-use heap (0 where unsupported).
+  ProfCells cells{};                  // The cells at this instant.
 };
 
 // One completed scope, host-clock-stamped relative to Enable() (the dual-clock trace track).
@@ -222,6 +227,8 @@ class SelfProfiler {
   // from determinism comparisons (bench_main strips the prefix when asserting repeat
   // byte-identity; BENCH_baseline.json never contains these rows).
   void PublishTo(MetricRegistry& registry) const;
+  // The per-cell and per-subsystem rows of PublishTo, from `cells`.
+  static void PublishCells(MetricRegistry& registry, const ProfCells& cells);
 
   // The prefix that marks wall-clock-domain (nondeterministic) metrics.
   static constexpr const char* kHostMetricPrefix = "selfprof.host.";
@@ -242,9 +249,7 @@ class SelfProfiler {
   SimTime max_sim_time_ = 0;
   Scope* top_ = nullptr;              // Innermost open scope (single-threaded stack discipline).
   SelfProfiler* delegate_ = nullptr;  // Non-null: forward everything to this profiler.
-  std::array<ProfCell, static_cast<std::size_t>(ProfSubsystem::kCount) *
-                           static_cast<std::size_t>(ProfOp::kCount)>
-      cells_{};
+  ProfCells cells_{};
   std::uint64_t total_events_ = 0;
   std::deque<HostSlice> slices_;
   std::uint64_t slices_dropped_ = 0;

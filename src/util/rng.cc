@@ -4,6 +4,8 @@
 #include <cmath>
 #include <numeric>
 
+#include "src/util/status.h"
+
 namespace blockhead {
 
 namespace {
@@ -78,8 +80,10 @@ double Rng::NextExponential(double mean) {
 
 ZipfGenerator::ZipfGenerator(std::uint64_t n, double theta, std::uint64_t seed)
     : n_(n), theta_(theta), rng_(seed) {
-  assert(n > 0);
-  assert(theta > 0.0 && theta < 1.0);
+  const bool valid = n > 0 && std::isfinite(theta) && theta > 0.0 && theta != 1.0;
+  CheckConfig(valid ? Status::Ok()
+                    : Status(ErrorCode::kInvalidArgument, "need n > 0 and finite theta > 0, != 1"),
+              "ZipfGenerator");
   zetan_ = Zeta(n, theta);
   const double zeta2 = Zeta(2, theta);
   alpha_ = 1.0 / (1.0 - theta);

@@ -39,11 +39,13 @@ class Rng {
   std::uint64_t state_[4];
 };
 
-// Zipfian generator over [0, n) with parameter theta (0 < theta < 1 typical; theta→0 is
-// uniform). Uses the Gray/Jim Gray "quick zipf" method from the YCSB generator, so draws are
+// Zipfian generator over [0, n) with parameter theta (theta→0 is uniform; larger is more
+// skewed). Uses the Gray/Jim Gray "quick zipf" method from the YCSB generator, so draws are
 // O(1) after O(n)-free setup (the zeta constant is computed incrementally).
 class ZipfGenerator {
  public:
+  // Aborts, in every build type, unless n > 0 and theta is finite, positive and not 1 (the
+  // method's exponent 1/(1 - theta) is singular there). Both sides of 1 are valid.
   ZipfGenerator(std::uint64_t n, double theta, std::uint64_t seed);
 
   std::uint64_t Next();

@@ -1,5 +1,8 @@
 #include "src/util/status.h"
 
+#include <cstdio>
+#include <cstdlib>
+
 namespace blockhead {
 
 const char* ErrorCodeName(ErrorCode code) {
@@ -60,6 +63,13 @@ std::string Status::ToString() const {
     out += message_;
   }
   return out;
+}
+
+void CheckConfig(const Status& status, const char* what) {
+  if (!status.ok()) {
+    std::fprintf(stderr, "blockhead: invalid %s: %s\n", what, status.ToString().c_str());
+    std::abort();
+  }
 }
 
 }  // namespace blockhead

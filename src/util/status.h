@@ -110,6 +110,10 @@ class Result {
   Status status_;
 };
 
+// Unless `status` is ok, prints "blockhead: invalid <what>: <status>" and aborts, in every
+// build type: the config-contract check for constructors, which cannot return a Status.
+void CheckConfig(const Status& status, const char* what);
+
 // Evaluates `expr` (a Status-returning expression) and early-returns on failure.
 #define BLOCKHEAD_RETURN_IF_ERROR(expr)        \
   do {                                         \

@@ -94,7 +94,8 @@ IoRequest YcsbBlockWorkload::Next() {
       if (rng_.NextBool(0.05)) {
         return RecordOp(insert_frontier_++, IoType::kWrite, pages);
       }
-      const std::uint32_t cap = std::max<std::uint32_t>(config_.max_scan_pages, pages);
+      constexpr std::uint32_t kMaxScanPages = 32;  // Scans are uniform in [pages, cap].
+      const std::uint32_t cap = std::max<std::uint32_t>(kMaxScanPages, pages);
       const std::uint32_t scan_pages = static_cast<std::uint32_t>(
           rng_.NextInRange(pages, cap));
       return RecordOp(popular, IoType::kRead, scan_pages);

@@ -71,7 +71,6 @@ struct YcsbBlockConfig {
   YcsbMix mix = YcsbMix::kA;
   std::uint64_t lba_space = 0;     // Records map onto [0, lba_space) in record_pages strides.
   std::uint32_t record_pages = 1;  // Pages per record; every op addresses whole records.
-  std::uint32_t max_scan_pages = 32;  // Scan length cap for workload E (uniform 1..cap).
   double zipf_theta = 0.99;        // Record popularity skew (A/B/C/F).
   std::uint64_t seed = 1;
 };

@@ -39,31 +39,26 @@ bool IsActive(ZoneState s) { return IsOpen(s) || s == ZoneState::kClosed; }
 ZnsDevice::ZnsDevice(const FlashConfig& flash_config, const ZnsConfig& zns_config)
     : flash_(flash_config), config_(zns_config) {
   const FlashGeometry& g = flash_.geometry();
-  assert(config_.blocks_per_zone_per_plane > 0);
+  CheckConfig(config_.Validate(g), "ZnsConfig");
   const std::uint32_t width =
       config_.planes_per_zone == 0 ? g.total_planes() : config_.planes_per_zone;
-  assert(g.total_planes() % width == 0);
   const std::uint32_t num_groups = g.total_planes() / width;
-  const std::uint32_t rows = g.blocks_per_plane / config_.blocks_per_zone_per_plane;
-  const std::uint32_t num_zones = num_groups * rows;
-  const std::uint32_t stripe_units = width * config_.blocks_per_zone_per_plane;
-  zone_size_pages_ = static_cast<std::uint64_t>(stripe_units) * g.pages_per_block;
+  const std::uint32_t num_zones = num_groups * g.blocks_per_plane;
+  zone_size_pages_ = static_cast<std::uint64_t>(width) * g.pages_per_block;
 
+  // Zone z takes block z / num_groups on every plane of group z % num_groups, interleaved so
+  // consecutive pages program on different planes.
   zones_.resize(num_zones);
   for (std::uint32_t z = 0; z < num_zones; ++z) {
     Zone& zone = zones_[z];
     const std::uint32_t group = z % num_groups;
-    const std::uint32_t row = z / num_groups;
-    zone.units.reserve(stripe_units);
-    // Interleave units across the group's planes so consecutive pages program on different
-    // planes.
-    for (std::uint32_t i = 0; i < stripe_units; ++i) {
-      const std::uint32_t plane_index = group * width + i % width;
-      const std::uint32_t slot = i / width;
+    zone.units.reserve(width);
+    for (std::uint32_t i = 0; i < width; ++i) {
+      const std::uint32_t plane_index = group * width + i;
       StripeUnit unit;
       unit.channel = ChannelId{plane_index / g.planes_per_channel};
       unit.plane = PlaneId{plane_index % g.planes_per_channel};
-      unit.block = BlockId{row * config_.blocks_per_zone_per_plane + slot};
+      unit.block = BlockId{z / num_groups};
       zone.units.push_back(unit);
     }
     zone.capacity_pages = zone_size_pages_;
@@ -334,7 +329,7 @@ Result<SimTime> ZnsDevice::Write(ZoneId zone_id, std::uint64_t offset, std::uint
   const SimTime ack = BufferAck(z, pages, data_in, done.value());
   // The next writer may form its command once this ack (the new write pointer) has been
   // observed and the zone lock handed over.
-  z.write_serial_point = ack + config_.wp_sync_overhead;
+  z.write_serial_point = ack + kWpSyncOverhead;
   if (write_latency_ != nullptr) {
     // Measured from the caller's issue time, so write-pointer serialization waits show up.
     write_latency_->Record(ack - issue);

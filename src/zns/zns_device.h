@@ -2,8 +2,8 @@
 // simple-copy command the paper highlights in §2.3/§4.2).
 //
 // The device is built on the same FlashDevice substrate as the conventional SSD, but its FTL is
-// thin: it maps zones to stripes of erasure blocks (one zone -> one or more blocks on every
-// plane, giving full write parallelism within a zone) and does *no* garbage collection. All the
+// thin: it maps zones to stripes of erasure blocks (one zone -> one block on every plane of its
+// group, giving full write parallelism within a zone) and does *no* garbage collection. All the
 // conventional FTL's DRAM-hungry page-granularity state disappears; what remains is a 4-byte
 // per-erasure-block zone map — the source of the paper's ~256 KB-per-TB figure (§2.2).
 //
@@ -45,11 +45,10 @@ enum class ZoneState {
 const char* ZoneStateName(ZoneState state);
 
 struct ZnsConfig {
-  // Blocks per zone contributed by each participating plane.
-  std::uint32_t blocks_per_zone_per_plane = 1;
-  // Planes a single zone stripes across (0 = all planes). Real devices map zones to a small
-  // die group, so one zone cannot saturate the device — which is why the active-zone budget
-  // is a meaningful resource (§4.2). Must divide the total plane count.
+  // Planes a single zone stripes across (0 = all planes); each contributes one erasure block.
+  // Real devices map zones to a small die group, so one zone cannot saturate the device —
+  // which is why the active-zone budget is a meaningful resource (§4.2). Must divide the total
+  // plane count.
   std::uint32_t planes_per_zone = 0;
   // Resource limits (paper §2.1: "only a limited number of zones can be active at once").
   std::uint32_t max_active_zones = 14;
@@ -59,9 +58,15 @@ struct ZnsConfig {
   // cell-program speed. 0 disables buffering (commands complete only when cells are
   // programmed — the strictest host-serialization regime).
   std::uint32_t zone_write_buffer_pages = 16;
-  // Host-side cost of write-pointer serialization per regular zone write (lock handoff +
-  // completion processing before the next writer may form its command). Not paid by Append.
-  SimTime wp_sync_overhead = 5 * kMicrosecond;
+
+  // kInvalidArgument if the zone layout does not fit `geometry`: a width that does not divide
+  // the plane count would leave planes unused, and one wider than the device gives no zones.
+  Status Validate(const FlashGeometry& geometry) const {
+    if (planes_per_zone != 0 && geometry.total_planes() % planes_per_zone != 0) {
+      return Status(ErrorCode::kInvalidArgument, "planes_per_zone must divide the plane count");
+    }
+    return Status::Ok();
+  }
 };
 
 struct ZoneDescriptor {
@@ -96,6 +101,11 @@ struct CopyRange {
 
 class ZnsDevice {
  public:
+  // Host-side cost of write-pointer serialization per regular zone write (lock handoff +
+  // completion processing before the next writer may form its command). Not paid by Append.
+  static constexpr SimTime kWpSyncOverhead = 5 * kMicrosecond;
+
+  // Aborts, in every build type, if zns_config.Validate(flash_config.geometry) fails.
   ZnsDevice(const FlashConfig& flash_config, const ZnsConfig& zns_config);
   ~ZnsDevice();  // Publishes final metrics and unhooks from the registry if attached.
 

@@ -120,7 +120,7 @@ TEST(BlockCacheTest, OverwriteKeepsSingleCopy) {
 
 TEST(ZnsCacheTest, PutGetEvict) {
   ZnsDevice dev(SmallFlash(), DeviceConfig());
-  ZnsFlashCache cache(&dev, ZnsCacheConfig{});
+  ZnsFlashCache cache(&dev);
   SimTime t = 0;
   const std::uint64_t capacity_objects =
       static_cast<std::uint64_t>(dev.num_zones()) * dev.zone_size_pages();
@@ -141,7 +141,7 @@ TEST(ZnsCacheTest, PutGetEvict) {
 
 TEST(ZnsCacheTest, NoStagingDramAndUnitWa) {
   ZnsDevice dev(SmallFlash(), DeviceConfig());
-  ZnsFlashCache cache(&dev, ZnsCacheConfig{});
+  ZnsFlashCache cache(&dev);
   EXPECT_EQ(cache.StagingDramBytes(), 0u);
   SimTime t = 0;
   const std::uint64_t churn =
@@ -160,7 +160,7 @@ TEST(ZnsCacheTest, LargeObjectSpanningPagesReadable) {
   FlashConfig fc = SmallFlash();
   fc.store_data = true;
   ZnsDevice dev(fc, DeviceConfig());
-  ZnsFlashCache cache(&dev, ZnsCacheConfig{});
+  ZnsFlashCache cache(&dev);
   ASSERT_TRUE(cache.Put(9, 5 * 4096 + 100, 0).ok());
   auto got = cache.Get(9, 0);
   ASSERT_TRUE(got.ok());

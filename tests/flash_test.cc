@@ -54,6 +54,15 @@ TEST(GeometryTest, TotalPagesMustFitFourByteMappingEntries) {
   EXPECT_FALSE(g.Validate().ok());
 }
 
+TEST(FlashDeviceDeathTest, InvalidGeometryAborts) {
+  FlashConfig c = TestConfig();
+  c.geometry.page_size = 0;
+  EXPECT_DEATH(FlashDevice{c}, "all geometry dimensions must be nonzero");
+  c = TestConfig();
+  c.geometry.blocks_per_plane = 0;
+  EXPECT_DEATH(FlashDevice{c}, "all geometry dimensions must be nonzero");
+}
+
 TEST(GeometryTest, FlatIndexRoundTrip) {
   const FlashGeometry g = FlashGeometry::Small();
   for (std::uint64_t flat = 0; flat < g.total_pages(); flat += 97) {

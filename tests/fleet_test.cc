@@ -396,7 +396,7 @@ TEST(FleetTest, RebalancingReducesWearSkew) {
     wl.read_fraction = 0.1;
     wl.io_pages = 4;
     wl.distribution = AddressDistribution::kZipfian;
-    wl.zipf_theta = 0.99;  // Strongly skewed (ZipfGenerator requires theta < 1).
+    wl.zipf_theta = 0.99;  // Strongly skewed (ZipfGenerator takes any finite theta > 0 but 1).
     wl.seed = 77;
     RandomWorkload gen(wl);
     FleetDriverOptions opts;

@@ -355,9 +355,7 @@ TEST(ConventionalSsdTest, DramUsageMatchesPaperModel) {
 TEST(ConventionalSsdTest, WriteBufferAcksBeforeProgramCompletes) {
   FlashConfig fc = SmallFlash();
   fc.timing = FlashTiming::Tlc();
-  FtlConfig f = DefaultFtl();
-  f.write_buffer_pages = 64;
-  ConventionalSsd ssd(fc, f);
+  ConventionalSsd ssd(fc, DefaultFtl());
   auto w = ssd.WriteBlocks(Lba{0}, 1, 0);
   ASSERT_TRUE(w.ok());
   // Ack at data-in (channel transfer), long before the ~660us cell program.
@@ -367,17 +365,18 @@ TEST(ConventionalSsdTest, WriteBufferAcksBeforeProgramCompletes) {
 TEST(ConventionalSsdTest, WriteBufferBackpressuresWhenFull) {
   FlashConfig fc = SmallFlash();
   fc.timing = FlashTiming::Tlc();
-  FtlConfig f = DefaultFtl();
-  f.write_buffer_pages = 2;
-  ConventionalSsd ssd(fc, f);
-  SimTime last_ack = 0;
-  for (int i = 0; i < 16; ++i) {
-    auto w = ssd.WriteBlocks(Lba{static_cast<std::uint64_t>(i)}, 1, 0);
+  ConventionalSsd ssd(fc, DefaultFtl());
+  const std::uint32_t buffer = ConventionalSsd::kWriteBufferPages;
+  std::vector<SimTime> acks;
+  for (std::uint32_t i = 0; i <= buffer; ++i) {
+    auto w = ssd.WriteBlocks(Lba{i}, 1, 0);
     ASSERT_TRUE(w.ok());
-    last_ack = std::max(last_ack, w.value());
+    acks.push_back(w.value());
   }
-  // With a 2-page buffer, the 16th ack must wait for earlier programs.
-  EXPECT_GT(last_ack, fc.timing.page_program);
+  // A full buffer's worth of writes acks before any cell program completes; the next write
+  // must wait for the oldest program to free a slot.
+  EXPECT_LT(acks[buffer - 1], fc.timing.page_program);
+  EXPECT_GT(acks[buffer], fc.timing.page_program);
 }
 
 TEST(ConventionalSsdTest, CostBenefitPolicyAlsoPreservesData) {

@@ -255,7 +255,6 @@ TEST(HostFtlTest, IncrementalGcResumesAcrossPumps) {
   fc.store_data = false;
   ZnsDevice dev(fc, DeviceConfig());
   HostFtlConfig cfg;
-  cfg.gc_step_pages = 4;
   cfg.sched.low_free_fraction = 0.5;  // Eager (clamped internally to the spare fraction).
   HostFtlBlockDevice ftl(&dev, cfg);
   Rng rng(9);
@@ -266,15 +265,19 @@ TEST(HostFtlTest, IncrementalGcResumesAcrossPumps) {
     ASSERT_TRUE(w.ok());
     t = w.value();
   }
-  // Single small pump steps: a whole zone (128 pages here) takes many steps to reclaim, so
-  // zones_reclaimed advances far slower than pump calls.
+  // Single pump steps relocate at most kGcStepPages pages each: a victim with more live pages
+  // than that (of 128 here) takes several steps, so zones_reclaimed advances slower than pump
+  // calls.
+  ASSERT_LT(HostFtlBlockDevice::kGcStepPages, dev.zone_size_pages());
   const std::uint64_t reclaimed_before = ftl.stats().zones_reclaimed;
   std::uint32_t steps = 0;
   for (int i = 0; i < 8; ++i) {
+    const std::uint64_t copied_before = ftl.stats().gc_pages_copied;
     steps += ftl.Pump(t, false, 1);
+    EXPECT_LE(ftl.stats().gc_pages_copied - copied_before, HostFtlBlockDevice::kGcStepPages);
   }
   EXPECT_GT(steps, 0u);
-  EXPECT_LE(ftl.stats().zones_reclaimed - reclaimed_before, steps);
+  EXPECT_LT(ftl.stats().zones_reclaimed - reclaimed_before, steps);
   EXPECT_TRUE(ftl.CheckConsistency().ok());
 }
 
@@ -283,18 +286,34 @@ TEST(HostFtlTest, OpportunisticGcSkipsNearlyLiveZones) {
   fc.store_data = false;
   ZnsDevice dev(fc, DeviceConfig());
   HostFtlConfig cfg;
-  cfg.gc_max_live_fraction = 0.5;
   cfg.sched.low_free_fraction = 1.0;  // Clamped; still effectively eager.
   HostFtlBlockDevice ftl(&dev, cfg);
-  // Sequential fill only: every full zone is 100% live -> opportunistic GC has no victim.
+  const std::uint64_t zone_pages = dev.zone_size_pages();
   SimTime t = 0;
-  for (std::uint64_t lba = 0; lba + 8 <= ftl.num_blocks(); lba += 8) {
-    auto w = ftl.WriteBlocks(Lba{lba}, 8, t);
+  auto overwrite = [&](std::uint64_t lba, std::uint32_t pages) {
+    auto w = ftl.WriteBlocks(Lba{lba}, pages, t);
     ASSERT_TRUE(w.ok());
     t = w.value();
+  };
+  // Sequential fill: free zones are taken lowest first, so LBA run k lands in zone k.
+  for (std::uint64_t lba = 0; lba + 8 <= ftl.num_blocks(); lba += 8) {
+    overwrite(lba, 8);
   }
-  EXPECT_EQ(ftl.Pump(t, false, 8), 0u) << "fully-live zones must not be compacted";
+  // Leave every full run's zone one page above the opportunistic threshold. The rewrites fill
+  // fresh, fully live zones and use up enough free space that background GC may run.
+  const auto max_live = static_cast<std::uint32_t>(HostFtlBlockDevice::kGcMaxLiveFraction *
+                                                   static_cast<double>(zone_pages));
+  const auto dead = static_cast<std::uint32_t>(zone_pages) - max_live - 1;
+  for (std::uint64_t run = 0; run < ftl.num_blocks() / zone_pages; ++run) {
+    overwrite(run * zone_pages, dead);
+  }
+  EXPECT_EQ(ftl.Pump(t, false, 8), 0u) << "zones above the live threshold must not be compacted";
   EXPECT_EQ(ftl.stats().gc_pages_copied, 0u);
+  // One more dead page puts zone 0 at the threshold: now it is a victim.
+  overwrite(dead, 1);
+  EXPECT_GT(ftl.Pump(t, false, 8), 0u);
+  EXPECT_GT(ftl.stats().gc_pages_copied, 0u);
+  EXPECT_TRUE(ftl.CheckConsistency().ok());
 }
 
 // The emulated block device must keep working across many fills (sustained random write),

@@ -88,9 +88,10 @@ TEST(IntegrationTest, KvOnBlockOnZnsStack) {
   MatchedConfig cfg = MatchedConfig::Small();
   ZnsDevice device(cfg.flash, cfg.zns);
   HostFtlBlockDevice block(&device, HostFtlConfig{});
-  BlockEnvConfig env_cfg;
-  env_cfg.metadata_region_pages = 128;
-  BlockEnv env(&block, env_cfg);
+  BlockEnv env(&block);
+  // The in-place metadata region is reserved up front; file data never lands in it.
+  ASSERT_LT(BlockEnv::kMetadataRegionPages, block.num_blocks() / 2);
+  ASSERT_EQ(env.FreePages(), block.num_blocks() - BlockEnv::kMetadataRegionPages);
   KvConfig kv_cfg;
   kv_cfg.memtable_bytes = 16 * kKiB;
   kv_cfg.level_base_bytes = 256 * kKiB;

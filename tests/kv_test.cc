@@ -203,7 +203,7 @@ TEST_F(BlockEnvTest, FragmentationAfterChurn) {
 TEST(SSTableTest, BuildAndReadBack) {
   ConventionalSsd ssd(SmallFlash(), FtlConfig{});
   BlockEnv env(&ssd);
-  SSTableBuilder builder(&env, "t.sst", SSTableBuilderOptions{});
+  SSTableBuilder builder(&env, "t.sst", Lifetime::kMedium);
   ASSERT_TRUE(builder.Start(0).ok());
   for (int i = 0; i < 500; ++i) {
     ASSERT_TRUE(builder
@@ -233,7 +233,7 @@ TEST(SSTableTest, BuildAndReadBack) {
 TEST(SSTableTest, TombstonesRoundTrip) {
   ConventionalSsd ssd(SmallFlash(), FtlConfig{});
   BlockEnv env(&ssd);
-  SSTableBuilder builder(&env, "t.sst", SSTableBuilderOptions{});
+  SSTableBuilder builder(&env, "t.sst", Lifetime::kMedium);
   ASSERT_TRUE(builder.Start(0).ok());
   ASSERT_TRUE(builder.Add("k1", KvEntryType::kTombstone, "", 0).ok());
   ASSERT_TRUE(builder.Add("k2", KvEntryType::kValue, "v2", 0).ok());
@@ -252,7 +252,7 @@ TEST(SSTableTest, TombstonesRoundTrip) {
 TEST(SSTableTest, ReadAllPreservesOrder) {
   ConventionalSsd ssd(SmallFlash(), FtlConfig{});
   BlockEnv env(&ssd);
-  SSTableBuilder builder(&env, "t.sst", SSTableBuilderOptions{});
+  SSTableBuilder builder(&env, "t.sst", Lifetime::kMedium);
   ASSERT_TRUE(builder.Start(0).ok());
   for (int i = 0; i < 300; ++i) {
     ASSERT_TRUE(
@@ -313,7 +313,7 @@ Result<std::unique_ptr<SSTableReader>> OpenWithFooterField(Env& env, const std::
 TEST(SSTableTest, FooterRangesOutsideTheFileRejected) {
   ConventionalSsd ssd(SmallFlash(), FtlConfig{});
   BlockEnv env(&ssd);
-  SSTableBuilder builder(&env, "t.sst", SSTableBuilderOptions{});
+  SSTableBuilder builder(&env, "t.sst", Lifetime::kMedium);
   ASSERT_TRUE(builder.Start(0).ok());
   for (int i = 0; i < 50; ++i) {
     ASSERT_TRUE(
@@ -345,7 +345,7 @@ TEST(SSTableTest, FooterRangesOutsideTheFileRejected) {
 TEST(SSTableTest, ScanFromReadsOnlyNeededBlocks) {
   ConventionalSsd ssd(SmallFlash(), FtlConfig{});
   BlockEnv env(&ssd);
-  SSTableBuilder builder(&env, "t.sst", SSTableBuilderOptions{});
+  SSTableBuilder builder(&env, "t.sst", Lifetime::kMedium);
   ASSERT_TRUE(builder.Start(0).ok());
   for (int i = 0; i < 600; ++i) {
     ASSERT_TRUE(builder

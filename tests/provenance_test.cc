@@ -271,7 +271,7 @@ TEST(ProvenanceTest, ZnsCacheEvictionErasesAttributed) {
   Telemetry tel;
   ZnsDevice device(cfg.flash, cfg.zns);
   device.AttachTelemetry(&tel, "zns");
-  ZnsFlashCache cache(&device, ZnsCacheConfig{});
+  ZnsFlashCache cache(&device);
   cache.AttachTelemetry(&tel, "cache");
 
   SimTime t = 0;

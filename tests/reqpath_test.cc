@@ -503,7 +503,7 @@ FleetRunResult DriveFleet(Fleet& fleet, std::uint64_t ops) {
   wl.read_fraction = 0.3;
   wl.io_pages = 4;
   wl.distribution = AddressDistribution::kZipfian;
-  wl.zipf_theta = 0.99;  // ZipfGenerator contract: theta in (0, 1).
+  wl.zipf_theta = 0.99;  // ZipfGenerator contract: finite theta > 0, theta != 1.
   wl.seed = 55;
   RandomWorkload gen(wl);
   FleetDriverOptions opts;

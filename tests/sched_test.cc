@@ -16,7 +16,6 @@ GcSchedulerConfig Config(GcSchedPolicy policy) {
   c.policy = policy;
   c.critical_free_fraction = 0.05;
   c.low_free_fraction = 0.25;
-  c.min_gc_interval = 100;
   return c;
 }
 
@@ -67,14 +66,17 @@ TEST(GcSchedulerTest, ReadPriorityDefersWhileReadsPending) {
 }
 
 TEST(GcSchedulerTest, RateLimiterSpacesRuns) {
+  constexpr SimTime kInterval = GcScheduler::kMinGcInterval;
+  static_assert(kInterval == 2 * kMillisecond);
   GcScheduler sched(Config(GcSchedPolicy::kRateLimited));
   EXPECT_TRUE(sched.ShouldRun(0.20, false, 0));
   sched.NoteRun(0);
-  EXPECT_FALSE(sched.ShouldRun(0.20, false, 50));
-  EXPECT_TRUE(sched.ShouldRun(0.20, false, 100));
+  EXPECT_FALSE(sched.ShouldRun(0.20, false, kInterval / 2));
+  EXPECT_FALSE(sched.ShouldRun(0.20, false, kInterval - 1));
+  EXPECT_TRUE(sched.ShouldRun(0.20, false, kInterval));
   // Criticality overrides the rate limit.
-  sched.NoteRun(100);
-  EXPECT_TRUE(sched.ShouldRun(0.01, false, 101));
+  sched.NoteRun(kInterval);
+  EXPECT_TRUE(sched.ShouldRun(0.01, false, kInterval + 1));
 }
 
 // --- ZoneReclaimer, driven on a small ZNS device (64 zones of 128 pages).

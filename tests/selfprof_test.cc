@@ -258,5 +258,28 @@ TEST(BenchHarnessTest, MedianPerfSampleOverwritesDerivedGauges) {
   EXPECT_EQ(registry.GetCounter("selfprof.host.repeats")->value(), 3u);
 }
 
+TEST(BenchHarnessTest, MedianPerfSamplePublishesWallAndCellsFromOneRepeat) {
+  // Two repeats, the last one slower: the published wall total and per-cell rows must both
+  // come from the lower-middle repeat, so the cells' self_ns never exceed the wall total.
+  MetricRegistry registry;
+  std::vector<SelfProfSample> samples(2);
+  const std::size_t read = static_cast<std::size_t>(ProfSubsystem::kFlash) *
+                               static_cast<std::size_t>(ProfOp::kCount) +
+                           static_cast<std::size_t>(ProfOp::kRead);
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    samples[i].wall_elapsed_ns = 100 * (i + 1);
+    samples[i].flash_events = 10;
+    samples[i].ns_per_simulated_op = static_cast<double>(samples[i].wall_elapsed_ns) / 10.0;
+    samples[i].cells[read] = ProfCell{10, samples[i].wall_elapsed_ns - 5,
+                                      samples[i].wall_elapsed_ns - 5};
+  }
+  PublishMedianPerfSample(registry, samples);
+  EXPECT_EQ(registry.GetCounter("selfprof.host.wall_elapsed_ns")->value(), 100u);
+  EXPECT_EQ(registry.GetCounter("selfprof.host.flash.read.self_ns")->value(), 95u);
+  EXPECT_EQ(registry.GetCounter("selfprof.host.flash.read.wall_ns")->value(), 95u);
+  EXPECT_EQ(registry.GetCounter("selfprof.host.flash.self_ns")->value(), 95u);
+  EXPECT_EQ(registry.GetCounter("selfprof.host.repeats")->value(), 2u);
+}
+
 }  // namespace
 }  // namespace blockhead

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <set>
 #include <vector>
@@ -155,6 +156,33 @@ TEST(ZipfTest, LowThetaIsNearUniform) {
     }
   }
   EXPECT_NEAR(static_cast<double>(in_top_100) / draws, 0.1, 0.05);
+}
+
+TEST(ZipfTest, ThetaAboveOneStaysInRangeAndSkewed) {
+  // bench_fleet draws at theta = 1.05: past the singular point, the exponent 1/(1 - theta) is
+  // negative and the method still maps every draw into [0, n), heaviest at rank 0.
+  const std::uint64_t n = 100000;
+  ZipfGenerator zipf(n, 1.05, 3);
+  std::vector<std::uint64_t> hits(3, 0);
+  const int draws = 200000;
+  for (int i = 0; i < draws; ++i) {
+    const std::uint64_t v = zipf.Next();
+    ASSERT_LT(v, n);
+    if (v < hits.size()) {
+      ++hits[v];
+    }
+  }
+  EXPECT_GT(hits[0], hits[1]);
+  EXPECT_GT(hits[1], hits[2]);
+  EXPECT_NEAR(static_cast<double>(hits[0]) / draws, 0.107, 0.01);
+}
+
+TEST(ZipfDeathTest, SingularOrNonPositiveThetaAborts) {
+  EXPECT_DEATH(ZipfGenerator(1000, 1.0, 3), "invalid ZipfGenerator");
+  EXPECT_DEATH(ZipfGenerator(1000, 0.0, 3), "invalid ZipfGenerator");
+  EXPECT_DEATH(ZipfGenerator(1000, -0.5, 3), "invalid ZipfGenerator");
+  EXPECT_DEATH(ZipfGenerator(1000, std::nan(""), 3), "invalid ZipfGenerator");
+  EXPECT_DEATH(ZipfGenerator(0, 0.99, 3), "invalid ZipfGenerator");
 }
 
 TEST(PermutationTest, IsAPermutation) {

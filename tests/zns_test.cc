@@ -45,14 +45,6 @@ TEST(ZnsDeviceTest, GeometryDerivedZones) {
   EXPECT_EQ(d.write_pointer, 0u);
 }
 
-TEST(ZnsDeviceTest, MultiBlockZones) {
-  ZnsConfig z = DefaultZns();
-  z.blocks_per_zone_per_plane = 4;
-  ZnsDevice dev(SmallFlash(), z);
-  EXPECT_EQ(dev.num_zones(), 16u);
-  EXPECT_EQ(dev.zone_size_pages(), 512u);
-}
-
 TEST(ZnsDeviceTest, WriteAtWritePointerSucceeds) {
   ZnsDevice dev(SmallFlash(), DefaultZns());
   auto w = dev.Write(ZoneId{0}, 0, 4, 0);
@@ -406,17 +398,24 @@ TEST(ZnsDeviceTest, BufferedWriteAcksBeforeProgram) {
 TEST(ZnsDeviceTest, WriteBufferBackpressure) {
   FlashConfig fc = SmallFlash();
   fc.timing = FlashTiming::Tlc();
-  ZnsConfig z = DefaultZns();
-  z.zone_write_buffer_pages = 2;
-  z.wp_sync_overhead = 0;
-  ZnsDevice dev(fc, z);
-  SimTime last_ack = 0;
-  for (std::uint64_t off = 0; off < 16; ++off) {
-    auto w = dev.Write(ZoneId{0}, off, 1, last_ack);
-    ASSERT_TRUE(w.ok());
-    last_ack = w.value();
-  }
-  EXPECT_GT(last_ack, fc.timing.page_program) << "a 2-page buffer must backpressure";
+  // Sixteen chained writes, each issued at the previous ack (plus the device's write-pointer
+  // serialization cost, ZnsDevice::kWpSyncOverhead); returns the last ack.
+  auto last_ack_with_buffer = [&](std::uint32_t buffer_pages) {
+    ZnsConfig z = DefaultZns();
+    z.zone_write_buffer_pages = buffer_pages;
+    ZnsDevice dev(fc, z);
+    SimTime last_ack = 0;
+    for (std::uint64_t off = 0; off < 16; ++off) {
+      auto w = dev.Write(ZoneId{0}, off, 1, last_ack);
+      EXPECT_TRUE(w.ok());
+      last_ack = w.value();
+    }
+    return last_ack;
+  };
+  // A buffer that holds all sixteen pages acks every write before any cell program completes,
+  // serialization cost included; a 2-page buffer makes the late acks wait for programs.
+  EXPECT_LT(last_ack_with_buffer(16), fc.timing.page_program);
+  EXPECT_GT(last_ack_with_buffer(2), fc.timing.page_program) << "a 2-page buffer must backpressure";
 }
 
 TEST(ZnsDeviceTest, UnbufferedWritesCompleteAtProgram) {
@@ -546,6 +545,31 @@ TEST_P(ZoneStateMachineTest, RandomOpsKeepInvariants) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ZoneStateMachineTest, ::testing::Values(1, 2, 3, 4, 5));
+
+TEST(ZnsConfigTest, ValidateRejectsZoneWidthsThatDoNotFitThePlanes) {
+  const FlashGeometry g = FlashGeometry::Small();  // 4 planes.
+  ZnsConfig z;
+  for (const std::uint32_t width : {0u, 1u, 2u, 4u}) {
+    z.planes_per_zone = width;
+    EXPECT_TRUE(z.Validate(g).ok()) << "width " << width;
+  }
+  z.planes_per_zone = 3;
+  EXPECT_EQ(z.Validate(g).code(), ErrorCode::kInvalidArgument);
+  z.planes_per_zone = 8;
+  EXPECT_EQ(z.Validate(g).code(), ErrorCode::kInvalidArgument);
+}
+
+TEST(ZnsDeviceDeathTest, ZoneWidthNotDividingThePlanesAborts) {
+  ZnsConfig z = DefaultZns();
+  z.planes_per_zone = 3;  // Would leave one of Small's 4 planes unused.
+  EXPECT_DEATH(ZnsDevice(SmallFlash(), z), "planes_per_zone must divide the plane count");
+}
+
+TEST(ZnsDeviceDeathTest, ZoneWiderThanTheDeviceAborts) {
+  ZnsConfig z = DefaultZns();
+  z.planes_per_zone = 8;  // Would give a device with no zones.
+  EXPECT_DEATH(ZnsDevice(SmallFlash(), z), "planes_per_zone must divide the plane count");
+}
 
 }  // namespace
 }  // namespace blockhead
