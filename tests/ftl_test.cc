@@ -626,7 +626,7 @@ TEST_P(VictimIndexTraceTest, IndexPickMatchesLinearScan) {
 INSTANTIATE_TEST_SUITE_P(
     Configs, VictimIndexTraceTest,
     ::testing::Values(
-        PickTraceCase{"Greedy", GcVictimPolicy::kGreedy, 64, 1, 0.0},
+        PickTraceCase{"GreedyMigrateEvery64Cycles1Stream", GcVictimPolicy::kGreedy, 64, 1, 0.0},
         PickTraceCase{"GreedyNoMigration", GcVictimPolicy::kGreedy, 0, 1, 0.0},
         PickTraceCase{"GreedyMigrateEveryCycle4Streams", GcVictimPolicy::kGreedy, 1, 4, 0.0},
         PickTraceCase{"CostBenefit", GcVictimPolicy::kCostBenefit, 64, 1, 0.0},
