@@ -15,6 +15,9 @@ FlashDevice::FlashDevice(const FlashConfig& config) : config_(config), rng_(conf
   plane_maintenance_busy_.assign(config_.geometry.total_planes(), MaintMark{});
   plane_busy_series_.assign(config_.geometry.total_planes(), BusySeries{});
   channel_busy_series_.assign(config_.geometry.channels, BusySeries{});
+  if (config_.store_data) {
+    copy_buffer_.resize(config_.geometry.page_size);
+  }
 }
 
 FlashDevice::~FlashDevice() { AttachTelemetry(nullptr); }
@@ -138,166 +141,187 @@ void FlashDevice::ChargeHostSplit(std::uint32_t plane_index, const HostSplit& sp
                             sums[static_cast<int>(PathSegment::kFlashBusy)]);
 }
 
-Status FlashDevice::CheckAddr(const PhysAddr& addr) const {
+// The helpers below are defined `inline` ahead of their callers so that ReadPage, ProgramPage
+// and CopyPage each compile to one body.
+
+inline FlashDevice::BlockState& FlashDevice::BlockAt(const PhysAddr& addr) {
+  return blocks_[FlatBlockIndex(config_.geometry, addr)];
+}
+
+inline const FlashDevice::BlockState& FlashDevice::BlockAt(const PhysAddr& addr) const {
+  return blocks_[FlatBlockIndex(config_.geometry, addr)];
+}
+
+Status FlashDevice::Failure(ErrorCode code) {
+  if (code == ErrorCode::kOutOfRange) {
+    return Status(code, "physical address outside geometry");
+  }
+  return Status(code);
+}
+
+inline ErrorCode FlashDevice::ReadError(const PhysAddr& addr) const {
   const FlashGeometry& g = config_.geometry;
   if (addr.channel.value() >= g.channels || addr.plane.value() >= g.planes_per_channel ||
       addr.block.value() >= g.blocks_per_plane || addr.page.value() >= g.pages_per_block) {
-    return Status(ErrorCode::kOutOfRange, "physical address outside geometry");
+    return ErrorCode::kOutOfRange;
   }
-  return Status::Ok();
+  return BlockAt(addr).bad ? ErrorCode::kBlockBad : ErrorCode::kOk;
 }
 
-FlashDevice::BlockState& FlashDevice::BlockAt(const PhysAddr& addr) {
-  return blocks_[FlatBlockIndex(config_.geometry, addr)];
+inline ErrorCode FlashDevice::ProgramError(const PhysAddr& addr) const {
+  const ErrorCode read_error = ReadError(addr);
+  if (read_error != ErrorCode::kOk) {
+    return read_error;
+  }
+  const std::uint32_t next_page = BlockAt(addr).next_page;
+  if (addr.page.value() < next_page) {
+    return ErrorCode::kEraseBeforeProgram;  // Page already programmed since last erase.
+  }
+  return addr.page.value() > next_page ? ErrorCode::kProgramOrderViolation : ErrorCode::kOk;
 }
 
-const FlashDevice::BlockState& FlashDevice::BlockAt(const PhysAddr& addr) const {
-  return blocks_[FlatBlockIndex(config_.geometry, addr)];
+inline SimTime FlashDevice::HostRead(const PhysAddr& addr, SimTime issue) {
+  const FlashGeometry& g = config_.geometry;
+  const std::uint32_t plane_index = PlaneIndex(g, addr.channel, addr.plane);
+  SimTime& plane = plane_busy_[plane_index];
+  // Cell array read on the plane, then transfer out over the channel bus.
+  const SimTime read_start = std::max(issue, plane);
+  const SimTime read_done = read_start + config_.timing.page_read;
+  plane = read_done;
+  SimTime& chan = channel_busy_[addr.channel.value()];
+  const SimTime xfer_start = std::max(read_done, chan);
+  const SimTime done = xfer_start + config_.timing.channel_xfer;
+  chan = done;
+  stats_.host_pages_read++;
+  stats_.host_bus_bytes += g.page_size;
+  if (telemetry_ != nullptr) {
+    // GC stall behind maintenance, plane wait, cell read, channel wait, transfer out.
+    const SimTime gc_done = issue + MaintenanceOverlap(plane_index, issue, read_start);
+    ChargeHostSplit(plane_index, {{{issue, gc_done, PathSegment::kGcStall},
+                                   {gc_done, read_start, PathSegment::kDeviceQueue},
+                                   {read_start, read_done, PathSegment::kFlashBusy},
+                                   {read_done, xfer_start, PathSegment::kDeviceQueue},
+                                   {xfer_start, done, PathSegment::kFlashBusy}}});
+    read_latency_->Record(done - issue);
+    if (telemetry_->timeline.enabled()) {
+      plane_busy_series_[plane_index].Book(read_start, read_done);
+      channel_busy_series_[addr.channel.value()].Book(xfer_start, done);
+    }
+    telemetry_->timeline.AdvanceGroup(sampler_group_, done);
+  }
+  return done;
+}
+
+inline SimTime FlashDevice::InternalRead(const PhysAddr& addr, SimTime issue) {
+  const std::uint32_t plane_index = PlaneIndex(config_.geometry, addr.channel, addr.plane);
+  SimTime& plane = plane_busy_[plane_index];
+  const SimTime read_start = std::max(issue, plane);
+  const SimTime read_done = read_start + config_.timing.page_read;
+  plane = read_done;
+  stats_.internal_pages_read++;
+  NoteMaintenance(plane_index, read_done);
+  if (telemetry_ != nullptr) {
+    if (telemetry_->timeline.enabled()) {
+      plane_busy_series_[plane_index].Book(read_start, read_done);
+    }
+    telemetry_->timeline.RecordMaintenance(plane_tracks_[plane_index], "copy_read", read_start,
+                                           read_done);
+    telemetry_->timeline.AdvanceGroup(sampler_group_, read_done);
+  }
+  return read_done;
+}
+
+inline void FlashDevice::ReadPayload(const PhysAddr& addr, std::span<std::uint8_t> out) const {
+  if (out.empty()) {
+    return;
+  }
+  const FlashGeometry& g = config_.geometry;
+  assert(out.size() == g.page_size);
+  const BlockState& block = BlockAt(addr);
+  if (config_.store_data && !block.data.empty() && addr.page.value() < block.next_page) {
+    const std::uint8_t* src =
+        block.data.data() + static_cast<std::size_t>(addr.page.value()) * g.page_size;
+    std::memcpy(out.data(), src, g.page_size);
+  } else {
+    std::memset(out.data(), 0, g.page_size);
+  }
 }
 
 Result<SimTime> FlashDevice::ReadPage(const PhysAddr& addr, SimTime issue,
                                       std::span<std::uint8_t> out, OpClass op_class) {
   SelfProfiler::Scope prof(ProfilerOf(telemetry_), ProfSubsystem::kFlash, ProfOp::kRead);
-  BLOCKHEAD_RETURN_IF_ERROR(CheckAddr(addr));
-  const BlockState& block = BlockAt(addr);
-  if (block.bad) {
-    return ErrorCode::kBlockBad;
+  if (const ErrorCode error = ReadError(addr); error != ErrorCode::kOk) {
+    return Failure(error);
   }
-
-  const FlashGeometry& g = config_.geometry;
-  const std::uint32_t plane_index = PlaneIndex(g, addr.channel, addr.plane);
-  SimTime& plane = plane_busy_[plane_index];
-  // Cell array read on the plane.
-  const SimTime read_start = std::max(issue, plane);
-  const SimTime read_done = read_start + config_.timing.page_read;
-  plane = read_done;
-
-  SimTime done = read_done;
-  if (op_class == OpClass::kHost) {
-    // Transfer out over the channel bus.
-    SimTime& chan = channel_busy_[addr.channel.value()];
-    const SimTime xfer_start = std::max(read_done, chan);
-    done = xfer_start + config_.timing.channel_xfer;
-    chan = done;
-    stats_.host_pages_read++;
-    stats_.host_bus_bytes += g.page_size;
-    if (telemetry_ != nullptr) {
-      // GC stall behind maintenance, plane wait, cell read, channel wait, transfer out.
-      const SimTime gc_done = issue + MaintenanceOverlap(plane_index, issue, read_start);
-      ChargeHostSplit(plane_index, {{{issue, gc_done, PathSegment::kGcStall},
-                                     {gc_done, read_start, PathSegment::kDeviceQueue},
-                                     {read_start, read_done, PathSegment::kFlashBusy},
-                                     {read_done, xfer_start, PathSegment::kDeviceQueue},
-                                     {xfer_start, done, PathSegment::kFlashBusy}}});
-      read_latency_->Record(done - issue);
-      if (telemetry_->timeline.enabled()) {
-        plane_busy_series_[plane_index].Book(read_start, read_done);
-        channel_busy_series_[addr.channel.value()].Book(xfer_start, done);
-      }
-      telemetry_->timeline.AdvanceGroup(sampler_group_, done);
-    }
-  } else {
-    stats_.internal_pages_read++;
-    NoteMaintenance(plane_index, read_done);
-    if (telemetry_ != nullptr) {
-      if (telemetry_->timeline.enabled()) {
-        plane_busy_series_[plane_index].Book(read_start, read_done);
-      }
-      telemetry_->timeline.RecordMaintenance(plane_tracks_[plane_index], "copy_read",
-                                             read_start, read_done);
-      telemetry_->timeline.AdvanceGroup(sampler_group_, read_done);
-    }
-  }
-
-  if (!out.empty()) {
-    assert(out.size() == g.page_size);
-    if (config_.store_data && !block.data.empty() && addr.page.value() < block.next_page) {
-      const std::uint8_t* src =
-          block.data.data() + static_cast<std::size_t>(addr.page.value()) * g.page_size;
-      std::memcpy(out.data(), src, g.page_size);
-    } else {
-      std::memset(out.data(), 0, g.page_size);
-    }
-  }
+  const SimTime done =
+      op_class == OpClass::kHost ? HostRead(addr, issue) : InternalRead(addr, issue);
+  ReadPayload(addr, out);
   if (telemetry_ != nullptr) {
     telemetry_->selfprof.NoteSimTime(done);
   }
   return done;
 }
 
-Result<SimTime> FlashDevice::ProgramPage(const PhysAddr& addr, SimTime issue,
-                                         std::span<const std::uint8_t> data, OpClass op_class) {
-  SelfProfiler::Scope prof(ProfilerOf(telemetry_), ProfSubsystem::kFlash, ProfOp::kWrite);
-  BLOCKHEAD_RETURN_IF_ERROR(CheckAddr(addr));
-  BlockState& block = BlockAt(addr);
-  if (block.bad) {
-    return ErrorCode::kBlockBad;
-  }
-  if (addr.page.value() != block.next_page) {
-    if (addr.page.value() < block.next_page) {
-      // Page already programmed since last erase.
-      return ErrorCode::kEraseBeforeProgram;
-    }
-    return ErrorCode::kProgramOrderViolation;
-  }
-
+inline SimTime FlashDevice::HostProgram(const PhysAddr& addr, SimTime issue) {
   const FlashGeometry& g = config_.geometry;
-  SimTime program_can_start = issue;
-  SimTime bus_wait = 0;
-  if (op_class == OpClass::kHost) {
-    // Data in over the channel bus, then the plane programs the cells.
-    SimTime& chan = channel_busy_[addr.channel.value()];
-    const SimTime xfer_start = std::max(issue, chan);
-    bus_wait = xfer_start - issue;
-    program_can_start = xfer_start + config_.timing.channel_xfer;
-    chan = program_can_start;
-    stats_.host_pages_programmed++;
-    stats_.host_bus_bytes += g.page_size;
-  } else {
-    stats_.internal_pages_programmed++;
-  }
+  // Data in over the channel bus, then the plane programs the cells.
+  SimTime& chan = channel_busy_[addr.channel.value()];
+  const SimTime xfer_start = std::max(issue, chan);
+  const SimTime program_can_start = xfer_start + config_.timing.channel_xfer;
+  chan = program_can_start;
+  stats_.host_pages_programmed++;
+  stats_.host_bus_bytes += g.page_size;
 
   const std::uint32_t plane_index = PlaneIndex(g, addr.channel, addr.plane);
   SimTime& plane = plane_busy_[plane_index];
   const SimTime program_start = std::max(program_can_start, plane);
   const SimTime done = program_start + config_.timing.page_program;
   plane = done;
-  if (op_class == OpClass::kHost) {
-    if (telemetry_ != nullptr) {
-      // Bus wait, transfer in, GC stall behind maintenance, plane wait, cell program.
-      const SimTime xfer_start = issue + bus_wait;
-      const SimTime gc_done =
-          program_can_start + MaintenanceOverlap(plane_index, program_can_start, program_start);
-      ChargeHostSplit(plane_index, {{{issue, xfer_start, PathSegment::kDeviceQueue},
-                                     {xfer_start, program_can_start, PathSegment::kFlashBusy},
-                                     {program_can_start, gc_done, PathSegment::kGcStall},
-                                     {gc_done, program_start, PathSegment::kDeviceQueue},
-                                     {program_start, done, PathSegment::kFlashBusy}}});
-      program_latency_->Record(done - issue);
-      if (telemetry_->timeline.enabled()) {
-        channel_busy_series_[addr.channel.value()].Book(program_can_start -
-                                                    config_.timing.channel_xfer,
-                                                program_can_start);
-        plane_busy_series_[plane_index].Book(program_start, done);
-      }
-      telemetry_->timeline.AdvanceGroup(sampler_group_, done);
+  if (telemetry_ != nullptr) {
+    // Bus wait, transfer in, GC stall behind maintenance, plane wait, cell program.
+    const SimTime gc_done =
+        program_can_start + MaintenanceOverlap(plane_index, program_can_start, program_start);
+    ChargeHostSplit(plane_index, {{{issue, xfer_start, PathSegment::kDeviceQueue},
+                                   {xfer_start, program_can_start, PathSegment::kFlashBusy},
+                                   {program_can_start, gc_done, PathSegment::kGcStall},
+                                   {gc_done, program_start, PathSegment::kDeviceQueue},
+                                   {program_start, done, PathSegment::kFlashBusy}}});
+    program_latency_->Record(done - issue);
+    if (telemetry_->timeline.enabled()) {
+      channel_busy_series_[addr.channel.value()].Book(xfer_start, program_can_start);
+      plane_busy_series_[plane_index].Book(program_start, done);
     }
-  } else {
-    NoteMaintenance(plane_index, done);
-    if (telemetry_ != nullptr) {
-      if (telemetry_->timeline.enabled()) {
-        plane_busy_series_[plane_index].Book(program_start, done);
-      }
-      telemetry_->timeline.RecordMaintenance(plane_tracks_[plane_index], "copy_program",
-                                             program_start, done);
-      telemetry_->timeline.AdvanceGroup(sampler_group_, done);
-    }
+    telemetry_->timeline.AdvanceGroup(sampler_group_, done);
   }
+  return done;
+}
 
+inline SimTime FlashDevice::InternalProgram(const PhysAddr& addr, SimTime issue) {
+  stats_.internal_pages_programmed++;
+  const std::uint32_t plane_index = PlaneIndex(config_.geometry, addr.channel, addr.plane);
+  SimTime& plane = plane_busy_[plane_index];
+  const SimTime program_start = std::max(issue, plane);
+  const SimTime done = program_start + config_.timing.page_program;
+  plane = done;
+  NoteMaintenance(plane_index, done);
+  if (telemetry_ != nullptr) {
+    if (telemetry_->timeline.enabled()) {
+      plane_busy_series_[plane_index].Book(program_start, done);
+    }
+    telemetry_->timeline.RecordMaintenance(plane_tracks_[plane_index], "copy_program",
+                                           program_start, done);
+    telemetry_->timeline.AdvanceGroup(sampler_group_, done);
+  }
+  return done;
+}
+
+inline void FlashDevice::CommitProgram(const PhysAddr& addr, std::span<const std::uint8_t> data,
+                                bool host, SimTime done) {
   if (provenance_ != nullptr) {
-    provenance_->RecordProgram(ledger_, op_class == OpClass::kHost, done);
+    provenance_->RecordProgram(ledger_, host, done);
   }
-
+  const FlashGeometry& g = config_.geometry;
+  BlockState& block = BlockAt(addr);
   if (config_.store_data) {
     if (block.data.empty()) {
       block.data.assign(static_cast<std::size_t>(g.pages_per_block) * g.page_size, 0);
@@ -325,6 +349,46 @@ Result<SimTime> FlashDevice::ProgramPage(const PhysAddr& addr, SimTime issue,
   if (telemetry_ != nullptr) {
     telemetry_->selfprof.NoteSimTime(done);
   }
+}
+
+Result<SimTime> FlashDevice::ProgramPage(const PhysAddr& addr, SimTime issue,
+                                         std::span<const std::uint8_t> data, OpClass op_class) {
+  SelfProfiler::Scope prof(ProfilerOf(telemetry_), ProfSubsystem::kFlash, ProfOp::kWrite);
+  if (const ErrorCode error = ProgramError(addr); error != ErrorCode::kOk) {
+    return Failure(error);
+  }
+  const bool host = op_class == OpClass::kHost;
+  const SimTime done = host ? HostProgram(addr, issue) : InternalProgram(addr, issue);
+  CommitProgram(addr, data, host, done);
+  return done;
+}
+
+Result<SimTime> FlashDevice::CopyPage(const PhysAddr& src, const PhysAddr& dst, SimTime issue) {
+  // Exactly ReadPage(src, kInternal) then ProgramPage(dst, kInternal) at the read's completion,
+  // side effects and error codes included, as one call. The payload (store_data only) moves
+  // through the device's page buffer rather than a per-copy allocation.
+  SimTime read_done = 0;
+  std::span<std::uint8_t> payload;
+  {
+    SelfProfiler::Scope prof(ProfilerOf(telemetry_), ProfSubsystem::kFlash, ProfOp::kRead);
+    if (const ErrorCode error = ReadError(src); error != ErrorCode::kOk) {
+      return Failure(error);
+    }
+    read_done = InternalRead(src, issue);
+    if (config_.store_data) {
+      payload = std::span<std::uint8_t>(copy_buffer_);
+      ReadPayload(src, payload);
+    }
+    if (telemetry_ != nullptr) {
+      telemetry_->selfprof.NoteSimTime(read_done);
+    }
+  }
+  SelfProfiler::Scope prof(ProfilerOf(telemetry_), ProfSubsystem::kFlash, ProfOp::kWrite);
+  if (const ErrorCode error = ProgramError(dst); error != ErrorCode::kOk) {
+    return Failure(error);
+  }
+  const SimTime done = InternalProgram(dst, read_done);
+  CommitProgram(dst, payload, /*host=*/false, done);
   return done;
 }
 
@@ -332,11 +396,10 @@ Result<SimTime> FlashDevice::EraseBlock(ChannelId channel, PlaneId plane, BlockI
                                         SimTime issue) {
   SelfProfiler::Scope prof(ProfilerOf(telemetry_), ProfSubsystem::kFlash, ProfOp::kErase);
   PhysAddr addr{channel, plane, block, PageId{0}};
-  BLOCKHEAD_RETURN_IF_ERROR(CheckAddr(addr));
-  BlockState& state = BlockAt(addr);
-  if (state.bad) {
-    return ErrorCode::kBlockBad;
+  if (const ErrorCode error = ReadError(addr); error != ErrorCode::kOk) {
+    return Failure(error);
   }
+  BlockState& state = BlockAt(addr);
 
   const std::uint32_t plane_index = PlaneIndex(config_.geometry, channel, plane);
   SimTime& plane_busy = plane_busy_[plane_index];
@@ -384,22 +447,6 @@ Result<SimTime> FlashDevice::EraseBlock(ChannelId channel, PlaneId plane, BlockI
     telemetry_->selfprof.NoteSimTime(done);
   }
   return done;
-}
-
-Result<SimTime> FlashDevice::CopyPage(const PhysAddr& src, const PhysAddr& dst, SimTime issue) {
-  // Internal read...
-  std::vector<std::uint8_t> buf;
-  std::span<std::uint8_t> out;
-  if (config_.store_data) {
-    buf.resize(config_.geometry.page_size);
-    out = std::span<std::uint8_t>(buf);
-  }
-  Result<SimTime> read_done = ReadPage(src, issue, out, OpClass::kInternal);
-  if (!read_done.ok()) {
-    return read_done;
-  }
-  // ...then internal program once the data is available.
-  return ProgramPage(dst, read_done.value(), buf, OpClass::kInternal);
 }
 
 SimTime FlashDevice::PlaneBusyUntil(ChannelId channel, PlaneId plane) const {

@@ -121,7 +121,9 @@ class FlashDevice {
   Result<SimTime> EraseBlock(ChannelId channel, PlaneId plane, BlockId block, SimTime issue);
 
   // Device-internal page move (used by conventional-FTL GC and by the ZNS simple-copy
-  // command): reads src and programs dst without touching the host bus.
+  // command): reads src and programs dst without touching the host bus. One call with the
+  // same results, errors and side effects as ReadPage(src, kInternal) followed by
+  // ProgramPage(dst, kInternal) issued at the read's completion.
   Result<SimTime> CopyPage(const PhysAddr& src, const PhysAddr& dst, SimTime issue);
 
   // Earliest time at which a new operation on this plane could start.
@@ -139,9 +141,26 @@ class FlashDevice {
     std::vector<std::uint8_t> data;  // Lazily allocated when store_data is on.
   };
 
-  Status CheckAddr(const PhysAddr& addr) const;
+  // The error a read (or erase) / a program of `addr` fails with before any side effect, or
+  // kOk: out of range, then a bad block, then (programs) the write-pointer order.
+  ErrorCode ReadError(const PhysAddr& addr) const;
+  ErrorCode ProgramError(const PhysAddr& addr) const;
+  // The Status an op returns for a failed check; out-of-range addresses carry a message.
+  static Status Failure(ErrorCode code);
   BlockState& BlockAt(const PhysAddr& addr);
   const BlockState& BlockAt(const PhysAddr& addr) const;
+
+  // The halves of a checked read / program. Host* and Internal* book the plane (and, for host
+  // ops, the channel bus), count the op and report it to telemetry; each returns completion.
+  SimTime HostRead(const PhysAddr& addr, SimTime issue);
+  SimTime InternalRead(const PhysAddr& addr, SimTime issue);
+  SimTime HostProgram(const PhysAddr& addr, SimTime issue);
+  SimTime InternalProgram(const PhysAddr& addr, SimTime issue);
+  // Fills `out` (if nonempty) with the page's payload, or zeroes.
+  void ReadPayload(const PhysAddr& addr, std::span<std::uint8_t> out) const;
+  // Records the program's provenance, stores its payload and advances the write pointer.
+  void CommitProgram(const PhysAddr& addr, std::span<const std::uint8_t> data, bool host,
+                     SimTime done);
 
   // Last maintenance op on a plane: completion time plus the provenance identity of whoever
   // caused it, so a host op stalled behind it can name its interferer (reqpath).
@@ -185,6 +204,7 @@ class FlashDevice {
   std::vector<BusySeries> channel_busy_series_;
   FlashStats stats_;
   Rng rng_;
+  std::vector<std::uint8_t> copy_buffer_;  // One page, for CopyPage payloads (store_data only).
 
   Telemetry* telemetry_ = nullptr;
   std::string metric_prefix_;

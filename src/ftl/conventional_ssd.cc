@@ -73,13 +73,11 @@ std::uint32_t ConventionalSsd::TakeFreeBlock(std::uint32_t plane_index) {
   std::size_t pick = plane.free_blocks.size() - 1;
   if (config_.wear_leveling) {
     // Least-worn free block, to spread erases.
-    const FlashGeometry& g = flash_.geometry();
-    const ChannelId channel{plane_index / g.planes_per_channel};
-    const PlaneId pl{plane_index % g.planes_per_channel};
+    const BlockMeta* meta =
+        &block_meta_[static_cast<std::uint64_t>(plane_index) * flash_.geometry().blocks_per_plane];
     std::uint32_t best_wear = std::numeric_limits<std::uint32_t>::max();
     for (std::size_t i = 0; i < plane.free_blocks.size(); ++i) {
-      const std::uint32_t wear =
-          flash_.block_status(channel, pl, BlockId{plane.free_blocks[i]}).erase_count;
+      const std::uint32_t wear = meta[plane.free_blocks[i]].erase_count;
       if (wear < best_wear) {
         best_wear = wear;
         pick = i;
@@ -100,22 +98,20 @@ Result<PhysAddr> ConventionalSsd::NextSlot(SimTime issue, bool gc_write,
   const std::uint32_t planes = g.total_planes();
 
   for (std::uint32_t attempt = 0; attempt < planes; ++attempt) {
-    const std::uint32_t plane_index = (cursor + attempt) % planes;
+    // (cursor + attempt) % planes, without a division per call: cursor < planes.
+    const std::uint32_t plane_index =
+        cursor + attempt < planes ? cursor + attempt : cursor + attempt - planes;
     PlaneState& plane = planes_[plane_index];
     std::uint32_t& frontier = gc_write ? plane.gc_frontier : plane.host_frontiers[stream];
-    const ChannelId channel{plane_index / g.planes_per_channel};
-    const PlaneId pl{plane_index % g.planes_per_channel};
+    const std::uint64_t plane_base = static_cast<std::uint64_t>(plane_index) * g.blocks_per_plane;
 
     // Retire a full frontier: it becomes a victim candidate.
     if (frontier != kNoBlock) {
-      const BlockStatus status = flash_.block_status(channel, pl, BlockId{frontier});
-      if (status.next_page >= g.pages_per_block) {
-        const std::uint64_t flat =
-            static_cast<std::uint64_t>(plane_index) * g.blocks_per_plane + frontier;
-        BlockMeta& meta = block_meta_[flat];
+      BlockMeta& meta = block_meta_[plane_base + frontier];
+      if (meta.next_page >= g.pages_per_block) {
         meta.open = false;
         meta.last_write = issue;
-        victim_index_.Insert(flat, meta.valid_pages, issue, status.erase_count);
+        victim_index_.Insert(plane_base + frontier, meta.valid_pages, issue, meta.erase_count);
         frontier = kNoBlock;
       }
     }
@@ -124,38 +120,31 @@ Result<PhysAddr> ConventionalSsd::NextSlot(SimTime issue, bool gc_write,
         continue;  // Try another plane.
       }
       frontier = TakeFreeBlock(plane_index);
-      const std::uint64_t flat = static_cast<std::uint64_t>(plane_index) * g.blocks_per_plane +
-                                 frontier;
-      block_meta_[flat].open = true;
-      if (flash_.block_status(channel, pl, BlockId{frontier}).bad) {
-        // A free-pool block can have gone bad via early failure on its last erase; drop it.
-        block_meta_[flat].open = false;
-        frontier = kNoBlock;
-        continue;
-      }
+      // Blocks go bad only at erase, and GcCycle keeps those out of the free pool.
+      assert(!block_meta_[plane_base + frontier].bad);
+      block_meta_[plane_base + frontier].open = true;
     }
 
-    cursor = (plane_index + 1) % planes;
+    cursor = plane_index + 1 < planes ? plane_index + 1 : 0;
     PhysAddr addr;
-    addr.channel = channel;
-    addr.plane = pl;
+    addr.channel = ChannelId{plane_index / g.planes_per_channel};
+    addr.plane = PlaneId{plane_index % g.planes_per_channel};
     addr.block = BlockId{frontier};
-    addr.page = PageId{flash_.block_status(channel, pl, BlockId{frontier}).next_page};
+    addr.page = PageId{block_meta_[plane_base + frontier].next_page};
     return addr;
   }
   return ErrorCode::kNoFreeBlocks;
 }
 
 Result<SimTime> ConventionalSsd::AppendPage(std::uint64_t lpn, SimTime issue,
-                                            std::span<const std::uint8_t> data, bool gc_write,
+                                            std::span<const std::uint8_t> data,
                                             std::uint32_t stream) {
-  Result<PhysAddr> slot = NextSlot(issue, gc_write, stream);
+  Result<PhysAddr> slot = NextSlot(issue, /*gc_write=*/false, stream);
   if (!slot.ok()) {
     return slot.status();
   }
   const PhysAddr addr = slot.value();
-  Result<SimTime> done = flash_.ProgramPage(addr, issue, data,
-                                            gc_write ? OpClass::kInternal : OpClass::kHost);
+  Result<SimTime> done = flash_.ProgramPage(addr, issue, data, OpClass::kHost);
   if (!done.ok()) {
     return done;
   }
@@ -163,9 +152,9 @@ Result<SimTime> ConventionalSsd::AppendPage(std::uint64_t lpn, SimTime issue,
   const FlashGeometry& g = flash_.geometry();
   const std::uint64_t ppn = FlatPageIndex(g, addr).value();
   map_.Map(lpn, ppn, done.value());
-  BlockMeta& meta = block_meta_[ppn / g.pages_per_block];
+  BlockMeta& meta = block_meta_[FlatBlockIndex(g, addr)];
   meta.valid_pages++;
-  meta.last_write = done.value();
+  meta.next_page++;
   return done;
 }
 
@@ -264,6 +253,15 @@ Result<SimTime> ConventionalSsd::GcCycle(SimTime now) {
   if (victim == kNoVictim) {
     return ErrorCode::kNoFreeBlocks;
   }
+  // The victim leaves the index now, so the copy loop moves no bucket entries. A cycle that
+  // fails before its erase succeeds puts it back: it is still closed, full and not bad.
+  BlockMeta& victim_meta = block_meta_[victim];
+  victim_index_.Remove(victim);
+  const auto abandon = [&](Status status) -> Result<SimTime> {
+    victim_index_.Insert(victim, victim_meta.valid_pages, victim_meta.last_write,
+                         victim_meta.erase_count);
+    return status;
+  };
 
   // Everything this cycle programs/erases is device reclaim work, not host data.
   WriteProvenance::CauseScope cause(
@@ -281,9 +279,9 @@ Result<SimTime> ConventionalSsd::GcCycle(SimTime now) {
                                                                             : "cost_benefit";
     telemetry_->events.Append(now, TimelineEventType::kGcVictim, metric_prefix_ + ".ftl",
                               std::string("victim block ") + std::to_string(victim) +
-                                  " valid " + std::to_string(block_meta_[victim].valid_pages) +
+                                  " valid " + std::to_string(victim_meta.valid_pages) +
                                   " policy " + policy,
-                              victim, block_meta_[victim].valid_pages);
+                              victim, victim_meta.valid_pages);
   }
 
   // Copy valid pages forward (device-internal: no host-bus traffic). Copies run as a
@@ -300,7 +298,7 @@ Result<SimTime> ConventionalSsd::GcCycle(SimTime now) {
     }
     Result<PhysAddr> slot = NextSlot(now, /*gc_write=*/true, /*stream=*/0);
     if (!slot.ok()) {
-      return slot.status();
+      return abandon(slot.status());
     }
     PhysAddr src = victim_addr;
     src.page = PageId{p};
@@ -313,31 +311,34 @@ Result<SimTime> ConventionalSsd::GcCycle(SimTime now) {
     }
     Result<SimTime> done = flash_.CopyPage(src, slot.value(), batch_issue);
     if (!done.ok()) {
-      return done;
+      return abandon(done.status());
     }
     last_done = std::max(last_done, done.value());
     const std::uint64_t new_ppn = FlatPageIndex(g, slot.value()).value();
     map_.Move(ppn, new_ppn, done.value());
-    BlockMeta& dest = block_meta_[new_ppn / g.pages_per_block];
-    block_meta_[victim].valid_pages--;
-    victim_index_.DropValidPage(victim);
+    BlockMeta& dest = block_meta_[FlatBlockIndex(g, slot.value())];
+    victim_meta.valid_pages--;
     dest.valid_pages++;
-    dest.last_write = done.value();
+    dest.next_page++;
     stats_.gc_pages_copied++;
   }
-  assert(block_meta_[victim].valid_pages == 0);
+  assert(victim_meta.valid_pages == 0);
 
   Result<SimTime> erased =
       flash_.EraseBlock(victim_addr.channel, victim_addr.plane, victim_addr.block, last_done);
   if (!erased.ok()) {
-    return erased;
+    return abandon(erased.status());
   }
-  victim_index_.Remove(victim);
+  victim_meta.next_page = 0;
+  victim_meta.erase_count++;
+  // Early failure or wear-out can mark the block bad at erase; only the device knows which.
+  victim_meta.bad =
+      flash_.block_status(victim_addr.channel, victim_addr.plane, victim_addr.block).bad;
   stats_.gc_runs++;
   if (wear_migration) {
     stats_.wear_migrations++;
   }
-  if (!flash_.block_status(victim_addr.channel, victim_addr.plane, victim_addr.block).bad) {
+  if (!victim_meta.bad) {
     const std::uint32_t plane_index = PlaneIndex(g, victim_addr.channel, victim_addr.plane);
     planes_[plane_index].free_blocks.push_back(victim_addr.block.value());
     free_block_count_++;
@@ -502,7 +503,7 @@ Result<SimTime> ConventionalSsd::WriteBlocksStream(Lba lba, std::uint32_t count,
       page_data = data.subspan(static_cast<std::size_t>(i) * page_size, page_size);
     }
     Result<SimTime> done =
-        AppendPage(lba.value() + i, issue, page_data, /*gc_write=*/false, stream);
+        AppendPage(lba.value() + i, issue, page_data, stream);
     if (!done.ok()) {
       return done;
     }
@@ -612,9 +613,13 @@ Status ConventionalSsd::CheckConsistency() const {
     }
     const PhysAddr addr = AddrFromFlatBlock(g, b);
     const BlockStatus status = flash_.block_status(addr.channel, addr.plane, addr.block);
-    const bool candidate = !meta.open && !status.bad && status.next_page >= g.pages_per_block;
+    if (meta.next_page != status.next_page || meta.erase_count != status.erase_count ||
+        meta.bad != status.bad) {
+      return Status(ErrorCode::kCorruption, "block descriptor differs from flash block status");
+    }
+    const bool candidate = !meta.open && !meta.bad && meta.next_page >= g.pages_per_block;
     BLOCKHEAD_RETURN_IF_ERROR(victim_index_.CheckBlock(b, candidate, meta.valid_pages,
-                                                       meta.last_write, status.erase_count));
+                                                       meta.last_write, meta.erase_count));
   }
   return victim_index_.CheckTotals();
 }

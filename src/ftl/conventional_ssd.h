@@ -141,12 +141,13 @@ class ConventionalSsd final : public BlockDevice {
   // The page-mapping table (logical page -> flat flash page).
   const PageMap& page_map() const { return map_; }
 
-  // Validates internal invariants (page map agreement, valid counters, the victim index). For
-  // tests; O(capacity).
+  // Validates internal invariants (page map agreement, valid counters, the block descriptors
+  // against the flash device, the victim index). For tests; O(capacity).
   Status CheckConsistency() const;
 
  private:
-  friend class ConventionalSsdTestPeer;  // Cross-checks picks and reaches the victim index.
+  // Cross-checks picks, reaches the victim index and block descriptors, and runs GC cycles.
+  friend class ConventionalSsdTestPeer;
 
   struct PlaneState {
     std::vector<std::uint32_t> free_blocks;      // Erased blocks ready to open.
@@ -155,23 +156,31 @@ class ConventionalSsd final : public BlockDevice {
   };
   static constexpr std::uint32_t kNoBlock = ~0U;
 
+  // The FTL's own state for one erase block. The write pointer, erase count and bad bit mirror
+  // the flash device's, updated from this FTL's own program and erase results, so the write
+  // path never asks the device. The device stays the authority: CheckConsistency() compares
+  // every mirrored field with block_status(). 24 B, the size of the old three-field struct.
   struct BlockMeta {
     std::uint32_t valid_pages = 0;
-    SimTime last_write = 0;  // For cost-benefit aging.
-    bool open = false;       // Is a frontier (excluded from victim selection).
+    std::uint32_t next_page = 0;    // Flash write pointer.
+    std::uint32_t erase_count = 0;  // Flash erase count.
+    bool open = false;              // Is a frontier (excluded from victim selection).
+    bool bad = false;               // Flash bad bit, read back after each erase.
+    SimTime last_write = 0;         // Retirement time of a closed block, for cost-benefit aging.
   };
 
-  // Programs one logical page to the next frontier slot of `stream` (or the GC frontier).
-  // Returns program completion.
+  // Programs one logical host page to the next frontier slot of `stream`. Returns program
+  // completion.
   Result<SimTime> AppendPage(std::uint64_t lpn, SimTime issue, std::span<const std::uint8_t> data,
-                             bool gc_write, std::uint32_t stream);
+                             std::uint32_t stream);
   // Picks the plane and physical slot for the next append. May consume a free block. Fails
   // with kNoFreeBlocks if the pool is empty.
   Result<PhysAddr> NextSlot(SimTime issue, bool gc_write, std::uint32_t stream);
-  // Allocates the least-worn free block on the given plane.
+  // Allocates the least-worn free block on the given plane; returns its plane-local index.
   std::uint32_t TakeFreeBlock(std::uint32_t plane_index);
   // One full GC cycle: pick victim, copy valid pages forward, erase. Returns erase completion,
-  // or an error if no eligible victim exists.
+  // or an error if no eligible victim exists. The victim leaves the victim index when picked;
+  // a cycle that fails before its erase puts it back.
   Result<SimTime> GcCycle(SimTime now);
   // Foreground GC driver: brings the free pool back above target. Returns last completion.
   SimTime MaybeForegroundGc(SimTime now);

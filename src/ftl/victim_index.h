@@ -1,15 +1,16 @@
 // Incremental GC victim index for the conventional FTL.
 //
 // Members are the device's closed, full, non-bad erase blocks: a block joins when its frontier
-// retires full and leaves when GC erases it. Each member sits in the bucket of its valid-page
-// count, one bitmap per bucket (0..pages_per_block), so the greedy pick is the lowest non-empty
-// bucket's first member in rotating order. Two orderings serve the other pick kinds and are
+// retires full and leaves when GC picks it (rejoining if that cycle fails before its erase).
+// Each member sits in the bucket of its valid-page count, one bitmap per bucket
+// (0..pages_per_block), so the greedy pick is the lowest non-empty bucket's first member in
+// rotating order. Two orderings serve the other pick kinds and are
 // kept only when the device can make that kind of pick:
 //   * by age: per bucket, (last_write, block) ascending, for cost-benefit;
 //   * by wear: one member bitmap per erase count, in erase-count order, for wear-leveling
 //     migration.
 // A member's last write time and erase count cannot change while it is indexed (it is closed,
-// and only the erase that removes it touches its wear), so neither key moves in place.
+// and only an erase touches its wear, after GC has removed it), so neither key moves in place.
 //
 // Every pick returns exactly the block the linear scan over all blocks would: of the blocks
 // with the best score, the first at or after `start` in cyclic block order (see DESIGN.md,
@@ -47,9 +48,9 @@ class VictimIndex {
   // Adds a block whose frontier just retired full.
   void Insert(std::uint64_t block, std::uint32_t valid_pages, SimTime last_write,
               std::uint32_t erase_count);
-  // Moves a member down one bucket: one of its pages was invalidated or relocated.
+  // Moves a member down one bucket: one of its pages was invalidated.
   void DropValidPage(std::uint64_t block);
-  // Removes a member whose erase succeeded.
+  // Removes a member picked as a GC victim.
   void Remove(std::uint64_t block);
 
   // Fewest valid pages; kNone if every member is fully valid.

@@ -1,23 +1,11 @@
 #include "src/util/histogram.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstdio>
 
 namespace blockhead {
 
 Histogram::Histogram() = default;
-
-int Histogram::BucketIndex(std::uint64_t value) {
-  if (value < kSubBuckets) {
-    return static_cast<int>(value);
-  }
-  // value >= kSubBuckets: exponent e >= kSubBucketBits.
-  const int e = 63 - std::countl_zero(value);
-  const int shift = e - kSubBucketBits;
-  const int sub = static_cast<int>((value >> shift) - kSubBuckets);  // in [0, kSubBuckets)
-  return kSubBuckets + shift * kSubBuckets + sub;
-}
 
 std::uint64_t Histogram::BucketUpperBound(int index) {
   if (index < kSubBuckets) {
@@ -27,23 +15,6 @@ std::uint64_t Histogram::BucketUpperBound(int index) {
   const int shift = rest / kSubBuckets;
   const int sub = rest % kSubBuckets;
   return ((static_cast<std::uint64_t>(kSubBuckets + sub + 1)) << shift) - 1;
-}
-
-void Histogram::Record(std::uint64_t value) { RecordMany(value, 1); }
-
-void Histogram::RecordMany(std::uint64_t value, std::uint64_t count) {
-  if (count == 0) {
-    return;
-  }
-  const int index = BucketIndex(value);
-  if (static_cast<std::size_t>(index) >= buckets_.size()) {
-    buckets_.resize(static_cast<std::size_t>(index) + 1, 0);
-  }
-  buckets_[static_cast<std::size_t>(index)] += count;
-  count_ += count;
-  sum_ += value * count;
-  min_ = std::min(min_, value);
-  max_ = std::max(max_, value);
 }
 
 void Histogram::Merge(const Histogram& other) {

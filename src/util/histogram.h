@@ -7,6 +7,8 @@
 #ifndef BLOCKHEAD_SRC_UTIL_HISTOGRAM_H_
 #define BLOCKHEAD_SRC_UTIL_HISTOGRAM_H_
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -17,10 +19,15 @@ class Histogram {
  public:
   Histogram();
 
-  // Records one sample (e.g. a latency in nanoseconds).
-  void Record(std::uint64_t value);
+  // Records one sample (e.g. a latency in nanoseconds). Inline: it runs once or more per host
+  // flash op.
+  void Record(std::uint64_t value) { Add(value, 1); }
   // Records `count` identical samples.
-  void RecordMany(std::uint64_t value, std::uint64_t count);
+  void RecordMany(std::uint64_t value, std::uint64_t count) {
+    if (count != 0) {
+      Add(value, count);
+    }
+  }
 
   // Merges another histogram into this one.
   void Merge(const Histogram& other);
@@ -57,8 +64,30 @@ class Histogram {
   static constexpr int kSubBucketBits = 5;  // 32 linear sub-buckets per power of two.
   static constexpr int kSubBuckets = 1 << kSubBucketBits;
 
-  static int BucketIndex(std::uint64_t value);
+  static int BucketIndex(std::uint64_t value) {
+    if (value < kSubBuckets) {
+      return static_cast<int>(value);
+    }
+    // value >= kSubBuckets: exponent e >= kSubBucketBits.
+    const int e = 63 - std::countl_zero(value);
+    const int shift = e - kSubBucketBits;
+    const int sub = static_cast<int>((value >> shift) - kSubBuckets);  // in [0, kSubBuckets)
+    return kSubBuckets + shift * kSubBuckets + sub;
+  }
   static std::uint64_t BucketUpperBound(int index);
+
+  // Adds `count` >= 1 samples of `value`, growing the bucket vector on demand.
+  void Add(std::uint64_t value, std::uint64_t count) {
+    const auto index = static_cast<std::size_t>(BucketIndex(value));
+    if (index >= buckets_.size()) {
+      buckets_.resize(index + 1, 0);
+    }
+    buckets_[index] += count;
+    count_ += count;
+    sum_ += value * count;
+    min_ = std::min(min_, value);
+    max_ = std::max(max_, value);
+  }
 
   std::vector<std::uint64_t> buckets_;
   std::uint64_t count_ = 0;

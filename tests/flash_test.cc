@@ -3,10 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/flash/flash_device.h"
+#include "src/telemetry/sink.h"
 
 namespace blockhead {
 namespace {
@@ -310,6 +314,114 @@ TEST(FlashDeviceTest, PlaneBusyUntilAdvances) {
   ASSERT_TRUE(w.ok());
   EXPECT_EQ(dev.PlaneBusyUntil(ChannelId{0}, PlaneId{0}), w.value());
   EXPECT_EQ(dev.PlaneBusyUntil(ChannelId{1}, PlaneId{0}), 0u);
+}
+
+// CopyPage is one call with exactly the effects of ReadPage(src, kInternal) followed by
+// ProgramPage(dst, kInternal) at the read's completion: results and error codes, SimTime,
+// stats, plane bookings, timeline slices, provenance, the maintenance marks later host ops
+// stall behind, and the copied bytes.
+TEST(FlashDeviceTest, CopyPageMatchesReadThenProgram) {
+  FlashConfig c = TestConfig();
+  c.timing.endurance_cycles = 2;  // Two erases make a block bad.
+  Telemetry fused_tel;
+  Telemetry pair_tel;
+  FlashDevice fused(c);
+  FlashDevice pair(c);
+  fused.AttachTelemetry(&fused_tel);
+  pair.AttachTelemetry(&pair_tel);
+  fused_tel.timeline.Enable();
+  pair_tel.timeline.Enable();
+
+  const auto addr = [](std::uint32_t ch, std::uint32_t pl, std::uint32_t b, std::uint32_t p) {
+    return PhysAddr{ChannelId{ch}, PlaneId{pl}, BlockId{b}, PageId{p}};
+  };
+  for (FlashDevice* dev : {&fused, &pair}) {
+    for (std::uint32_t p = 0; p < 4; ++p) {
+      const std::vector<std::uint8_t> data(4096, static_cast<std::uint8_t>(p + 1));
+      ASSERT_TRUE(dev->ProgramPage(addr(0, 0, 0, p), 0, data).ok());
+    }
+    for (int e = 0; e < 2; ++e) {
+      ASSERT_TRUE(dev->EraseBlock(ChannelId{0}, PlaneId{0}, BlockId{7}, 0).ok());
+      ASSERT_TRUE(dev->EraseBlock(ChannelId{1}, PlaneId{1}, BlockId{7}, 0).ok());
+    }
+  }
+
+  struct Copy {
+    PhysAddr src;
+    PhysAddr dst;
+    SimTime issue;
+    ErrorCode want;
+  };
+  const std::vector<Copy> copies = {
+      {addr(0, 0, 0, 0), addr(1, 0, 4, 0), 0, ErrorCode::kOk},
+      {addr(0, 0, 0, 1), addr(1, 0, 4, 1), 0, ErrorCode::kOk},
+      {addr(0, 0, 7, 0), addr(1, 0, 4, 2), 10, ErrorCode::kBlockBad},        // Bad source.
+      {addr(0, 0, 0, 2), addr(1, 1, 7, 0), 20, ErrorCode::kBlockBad},        // Bad destination.
+      {addr(0, 0, 0, 2), addr(1, 0, 4, 5), 30, ErrorCode::kProgramOrderViolation},
+      {addr(0, 0, 0, 2), addr(1, 0, 4, 0), 40, ErrorCode::kEraseBeforeProgram},
+      {addr(9, 0, 0, 0), addr(1, 0, 4, 2), 50, ErrorCode::kOutOfRange},
+      {addr(0, 0, 0, 2), addr(1, 0, 99, 0), 60, ErrorCode::kOutOfRange},
+      {addr(0, 0, 0, 9), addr(1, 0, 4, 2), 70, ErrorCode::kOk},  // Never programmed: zeroes.
+      {addr(0, 0, 0, 3), addr(1, 1, 2, 0), 1 * kSecond, ErrorCode::kOk},
+  };
+  for (std::size_t i = 0; i < copies.size(); ++i) {
+    const Copy& cp = copies[i];
+    const Result<SimTime> one = fused.CopyPage(cp.src, cp.dst, cp.issue);
+    std::vector<std::uint8_t> buf(4096);
+    Result<SimTime> two = pair.ReadPage(cp.src, cp.issue, buf, OpClass::kInternal);
+    if (two.ok()) {
+      two = pair.ProgramPage(cp.dst, two.value(), buf, OpClass::kInternal);
+    }
+    EXPECT_EQ(one.code(), cp.want) << "copy " << i;
+    ASSERT_EQ(one.code(), two.code()) << "copy " << i;
+    if (one.ok()) {
+      EXPECT_EQ(one.value(), two.value()) << "copy " << i;
+    }
+  }
+
+  // A host read on each copy plane, inside a span: its GC-stall share depends on the plane's
+  // last maintenance mark.
+  for (auto [dev, tel] : {std::pair{&fused, &fused_tel}, std::pair{&pair, &pair_tel}}) {
+    Tracer::Span span = Tracer::Start(tel->tracer.Intern("probe"), 0);
+    SimTime done = 0;
+    for (const PhysAddr& a : {addr(0, 0, 0, 0), addr(1, 0, 4, 0), addr(1, 1, 2, 0)}) {
+      const Result<SimTime> r = dev->ReadPage(a, 0);
+      ASSERT_TRUE(r.ok());
+      done = std::max(done, r.value());
+    }
+    span.End(done);
+  }
+
+  const FlashStats& fs = fused.stats();
+  const FlashStats& ps = pair.stats();
+  EXPECT_EQ(fs.internal_pages_read, ps.internal_pages_read);
+  EXPECT_EQ(fs.internal_pages_programmed, ps.internal_pages_programmed);
+  EXPECT_EQ(fs.internal_pages_read, 8u);  // Every copy whose source checks out reads it.
+  EXPECT_EQ(fs.internal_pages_programmed, 4u);
+  for (std::uint32_t ch = 0; ch < c.geometry.channels; ++ch) {
+    for (std::uint32_t pl = 0; pl < c.geometry.planes_per_channel; ++pl) {
+      EXPECT_EQ(fused.PlaneBusyUntil(ChannelId{ch}, PlaneId{pl}),
+                pair.PlaneBusyUntil(ChannelId{ch}, PlaneId{pl}));
+    }
+  }
+  EXPECT_EQ(fused_tel.timeline.ExportChromeTrace(), pair_tel.timeline.ExportChromeTrace());
+  std::string fused_metrics;
+  std::string pair_metrics;
+  JsonLinesSink().Render("copy", fused_tel.registry.Snapshot(), &fused_metrics);
+  JsonLinesSink().Render("copy", pair_tel.registry.Snapshot(), &pair_metrics);
+  EXPECT_EQ(fused_metrics, pair_metrics);
+
+  const std::vector<std::pair<PhysAddr, std::uint8_t>> copied = {
+      {addr(1, 0, 4, 0), 1}, {addr(1, 0, 4, 1), 2}, {addr(1, 0, 4, 2), 0}, {addr(1, 1, 2, 0), 4}};
+  for (const auto& [a, fill] : copied) {
+    std::vector<std::uint8_t> out(4096, 0xFF);
+    ASSERT_TRUE(fused.ReadPage(a, 2 * kSecond, out).ok());
+    EXPECT_EQ(out, std::vector<std::uint8_t>(4096, fill));
+    EXPECT_EQ(fused.block_status(a.channel, a.plane, a.block).next_page,
+              pair.block_status(a.channel, a.plane, a.block).next_page);
+  }
+  fused.AttachTelemetry(nullptr);
+  pair.AttachTelemetry(nullptr);
 }
 
 // Property sweep: filling a whole plane sequentially always succeeds and counts correctly,

@@ -5,6 +5,7 @@
 #include <functional>
 #include <map>
 #include <numeric>
+#include <ostream>
 #include <unordered_map>
 #include <vector>
 
@@ -34,6 +35,28 @@ class ConventionalSsdTestPeer {
     ssd.pick_check_ = std::move(check);
   }
   static VictimIndex& Index(ConventionalSsd& ssd) { return ssd.victim_index_; }
+  static auto& Meta(ConventionalSsd& ssd, std::uint64_t block) { return ssd.block_meta_[block]; }
+  static Result<SimTime> GcCycle(ConventionalSsd& ssd, SimTime now) { return ssd.GcCycle(now); }
+  // Moves every plane's free blocks into `pools` (one list per plane), leaving GC no block to
+  // open.
+  static void TakeFreePools(ConventionalSsd& ssd, std::vector<std::vector<std::uint32_t>>& pools) {
+    pools.resize(ssd.planes_.size());
+    for (std::size_t pl = 0; pl < ssd.planes_.size(); ++pl) {
+      std::vector<std::uint32_t>& free_blocks = ssd.planes_[pl].free_blocks;
+      ssd.free_block_count_ -= free_blocks.size();
+      pools[pl].insert(pools[pl].end(), free_blocks.begin(), free_blocks.end());
+      free_blocks.clear();
+    }
+  }
+  static void ReturnFreePools(ConventionalSsd& ssd,
+                              std::vector<std::vector<std::uint32_t>>& pools) {
+    for (std::size_t pl = 0; pl < pools.size(); ++pl) {
+      std::vector<std::uint32_t>& free_blocks = ssd.planes_[pl].free_blocks;
+      ssd.free_block_count_ += pools[pl].size();
+      free_blocks.insert(free_blocks.end(), pools[pl].begin(), pools[pl].end());
+    }
+    pools.clear();
+  }
 };
 
 // Moves one member of a greedy-only index to another bucket, so CheckBlock() has something to
@@ -562,6 +585,14 @@ struct PickTraceCase {
   double early_failure_prob;
 };
 
+// Prints the case's parameters (its name is already the test name's suffix), so the test names
+// gtest lists are the same in every run instead of a dump of the name pointer's bytes.
+void PrintTo(const PickTraceCase& c, std::ostream* os) {
+  *os << "policy " << (c.policy == GcVictimPolicy::kGreedy ? "greedy" : "cost_benefit")
+      << " migrate_interval " << c.wear_migrate_interval << " streams " << c.num_streams
+      << " early_failure_prob " << c.early_failure_prob;
+}
+
 class VictimIndexTraceTest : public ::testing::TestWithParam<PickTraceCase> {};
 
 // Seeded random traces (multi-stream writes, skewed overwrites, trims, background GC, issue
@@ -662,6 +693,86 @@ TEST(ConventionalSsdTest, CheckConsistencyCatchesCorruptVictimIndex) {
   EXPECT_EQ(s.code(), ErrorCode::kCorruption);
   EXPECT_NE(s.message().find("bucket"), std::string::npos) << s.message();
   VictimIndexTestPeer::MoveToBucket(index, member, valid);
+  EXPECT_TRUE(ssd.CheckConsistency().ok());
+}
+
+TEST(ConventionalSsdTest, CheckConsistencyCatchesBlockMirrorDrift) {
+  FlashConfig fc = SmallFlash();
+  fc.store_data = false;
+  ConventionalSsd ssd(fc, DefaultFtl());
+  Rng rng(4);
+  SimTime t = 0;
+  for (std::uint64_t i = 0; i < 3 * ssd.num_blocks(); ++i) {
+    auto w = ssd.WriteBlocks(Lba{rng.NextBelow(ssd.num_blocks())}, 1, t);
+    ASSERT_TRUE(w.ok());
+    t = w.value();
+  }
+  ASSERT_TRUE(ssd.CheckConsistency().ok());
+  ASSERT_GT(ssd.ftl_stats().gc_runs, 0u);
+  const auto erase_count = [&](std::uint64_t block) {
+    const PhysAddr a = AddrFromFlatBlock(ssd.flash().geometry(), block);
+    return ssd.flash().block_status(a.channel, a.plane, a.block).erase_count;
+  };
+  std::uint64_t block = 0;
+  while (erase_count(block) == 0) {
+    ++block;  // An erased and rewritten block: its mirrored fields have all been updated.
+  }
+  auto& meta = ConventionalSsdTestPeer::Meta(ssd, block);
+  const auto saved = meta;
+  const std::vector<std::function<void()>> drifts = {
+      [&] { meta.next_page ^= 1; },
+      [&] { meta.erase_count++; },
+      [&] { meta.bad = !meta.bad; },
+  };
+  for (const auto& drift : drifts) {
+    drift();
+    const Status s = ssd.CheckConsistency();
+    EXPECT_EQ(s.code(), ErrorCode::kCorruption);
+    EXPECT_NE(s.message().find("block descriptor"), std::string::npos) << s.message();
+    meta = saved;
+    EXPECT_TRUE(ssd.CheckConsistency().ok());
+  }
+}
+
+// A GC cycle that runs out of copy slots part-way through its victim must leave the victim in
+// the victim index with its remaining valid pages, so picks and CheckConsistency stay exact.
+TEST(ConventionalSsdTest, GcCycleFailingMidCopyPutsVictimBack) {
+  FlashConfig fc = SmallFlash();
+  fc.store_data = false;
+  ConventionalSsd ssd(fc, DefaultFtl());
+  Rng rng(5);
+  SimTime t = 0;
+  for (std::uint64_t i = 0; i < 3 * ssd.num_blocks(); ++i) {
+    auto w = ssd.WriteBlocks(Lba{rng.NextBelow(ssd.num_blocks())}, 1, t);
+    ASSERT_TRUE(w.ok());
+    t = w.value();
+  }
+  ASSERT_TRUE(ssd.CheckConsistency().ok());
+
+  // With the free pools held back, the GC frontiers fill up and a cycle runs out of slots.
+  std::vector<std::vector<std::uint32_t>> pools;
+  std::uint64_t copied_by_failed_cycle = 0;
+  for (int cycle = 0; cycle < 1000; ++cycle) {
+    ConventionalSsdTestPeer::TakeFreePools(ssd, pools);
+    const std::uint64_t copied = ssd.ftl_stats().gc_pages_copied;
+    Result<SimTime> done = ConventionalSsdTestPeer::GcCycle(ssd, t);
+    ASSERT_TRUE(ssd.CheckConsistency().ok()) << "cycle " << cycle;
+    if (!done.ok()) {
+      EXPECT_EQ(done.code(), ErrorCode::kNoFreeBlocks);
+      copied_by_failed_cycle = ssd.ftl_stats().gc_pages_copied - copied;
+      break;
+    }
+    t = done.value();
+  }
+  EXPECT_GT(copied_by_failed_cycle, 0u);
+
+  // With its blocks back, the device keeps working.
+  ConventionalSsdTestPeer::ReturnFreePools(ssd, pools);
+  for (std::uint64_t i = 0; i < ssd.num_blocks(); ++i) {
+    auto w = ssd.WriteBlocks(Lba{rng.NextBelow(ssd.num_blocks())}, 1, t);
+    ASSERT_TRUE(w.ok());
+    t = w.value();
+  }
   EXPECT_TRUE(ssd.CheckConsistency().ok());
 }
 
