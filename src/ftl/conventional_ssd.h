@@ -159,7 +159,7 @@ class ConventionalSsd final : public BlockDevice {
   // The FTL's own state for one erase block. The write pointer, erase count and bad bit mirror
   // the flash device's, updated from this FTL's own program and erase results, so the write
   // path never asks the device. The device stays the authority: CheckConsistency() compares
-  // every mirrored field with block_status(). 24 B, the size of the old three-field struct.
+  // every mirrored field with block_status(). 24 B per block.
   struct BlockMeta {
     std::uint32_t valid_pages = 0;
     std::uint32_t next_page = 0;    // Flash write pointer.
