@@ -660,7 +660,7 @@ Result<KvStore::GetResult> KvStore::Get(std::string_view key, SimTime now) {
 
   SimTime t = now;
   auto probe = [&](const TableMeta& meta) -> Result<bool> {
-    Result<SSTableReader::GetResult> r = meta.reader->Get(key, t);
+    Result<SSTableReader::GetResult> r = meta.reader->Get(key, t, &stats_.get_blocks_parsed);
     if (!r.ok()) {
       return r.status();
     }
@@ -725,6 +725,7 @@ Result<KvStore::GetResult> KvStore::Get(std::string_view key, SimTime now) {
 Result<KvStore::ScanResult> KvStore::Scan(std::string_view start_key, std::size_t limit,
                                           SimTime now) {
   SelfProfiler::Scope prof_scope(ProfilerOf(telemetry_), ProfSubsystem::kKv, ProfOp::kRead);
+  stats_.scans++;
   ScanResult result;
   result.completion = now;
   if (limit == 0) {
@@ -742,8 +743,9 @@ Result<KvStore::ScanResult> KvStore::Scan(std::string_view start_key, std::size_
   std::map<std::string, Candidate> merged;
   std::size_t rank = 0;
 
-  auto absorb = [&merged](std::size_t source_rank, const std::string& key, KvEntryType type,
-                          std::string value) {
+  auto absorb = [&](std::size_t source_rank, const std::string& key, KvEntryType type,
+                   std::string value) {
+    stats_.scan_candidates++;
     auto it = merged.find(key);
     if (it == merged.end() || source_rank < it->second.rank) {
       merged[key] = Candidate{source_rank, type, std::move(value)};
@@ -764,8 +766,8 @@ Result<KvStore::ScanResult> KvStore::Scan(std::string_view start_key, std::size_
       return Status::Ok();
     }
     SimTime completion = t;
-    Result<std::vector<KvEntry>> entries = meta.reader->ScanFrom(start_key, fetch, t,
-                                                                 &completion);
+    Result<std::vector<KvEntry>> entries = meta.reader->ScanFrom(
+        start_key, fetch, t, &completion, &stats_.scan_blocks_parsed);
     if (!entries.ok()) {
       return entries.status();
     }
@@ -867,6 +869,10 @@ void KvStore::PublishMetrics() {
   reg.GetCounter(p + ".bytes_compacted")->Set(stats_.bytes_compacted);
   reg.GetCounter(p + ".bloom_skips")->Set(stats_.bloom_skips);
   reg.GetCounter(p + ".stall_events")->Set(stats_.stall_events);
+  reg.GetCounter(p + ".scans")->Set(stats_.scans);
+  reg.GetCounter(p + ".scan_blocks_parsed")->Set(stats_.scan_blocks_parsed);
+  reg.GetCounter(p + ".scan_candidates")->Set(stats_.scan_candidates);
+  reg.GetCounter(p + ".get_blocks_parsed")->Set(stats_.get_blocks_parsed);
   reg.GetGauge(p + ".lsm_write_amplification")->Set(LsmWriteAmplification());
 }
 

@@ -51,6 +51,11 @@ struct KvStats {
   std::uint64_t bytes_compacted = 0;
   std::uint64_t bloom_skips = 0;
   std::uint64_t stall_events = 0;
+  // Work counters for the read path (exact, so a change in the work done shows in --check).
+  std::uint64_t scans = 0;
+  std::uint64_t scan_blocks_parsed = 0;  // SSTable data blocks parsed by Scan.
+  std::uint64_t scan_candidates = 0;     // Memtable and table entries handed to Scan's merge.
+  std::uint64_t get_blocks_parsed = 0;   // SSTable data blocks parsed by Get.
 };
 
 class KvStore {

@@ -261,7 +261,10 @@ Result<std::unique_ptr<SSTableReader>> SSTableReader::Open(Env* env, std::string
 }
 
 Status SSTableReader::ParseBlock(std::span<const std::uint8_t> block,
-                                 std::vector<KvEntry>* entries) {
+                                 std::vector<KvEntry>* entries, std::uint64_t* blocks_parsed) {
+  if (blocks_parsed != nullptr) {
+    ++*blocks_parsed;
+  }
   ByteReader in(block);
   while (in.remaining() >= 7) {  // key length u16 | key | type u8 | value length u32 | value
     KvEntry entry;
@@ -276,7 +279,8 @@ Status SSTableReader::ParseBlock(std::span<const std::uint8_t> block,
   return Status::Ok();
 }
 
-Result<SSTableReader::GetResult> SSTableReader::Get(std::string_view key, SimTime now) const {
+Result<SSTableReader::GetResult> SSTableReader::Get(std::string_view key, SimTime now,
+                                                    std::uint64_t* blocks_parsed) const {
   GetResult result;
   result.completion = now;
   if (!bloom_.MayContain(key)) {
@@ -298,7 +302,7 @@ Result<SSTableReader::GetResult> SSTableReader::Get(std::string_view key, SimTim
   }
   result.completion = r.value();
   std::vector<KvEntry> entries;
-  BLOCKHEAD_RETURN_IF_ERROR(ParseBlock(block, &entries));
+  BLOCKHEAD_RETURN_IF_ERROR(ParseBlock(block, &entries, blocks_parsed));
   for (const KvEntry& e : entries) {
     if (e.key == key) {
       result.found = true;
@@ -312,7 +316,8 @@ Result<SSTableReader::GetResult> SSTableReader::Get(std::string_view key, SimTim
 
 Result<std::vector<KvEntry>> SSTableReader::ScanFrom(std::string_view start_key,
                                                      std::size_t limit, SimTime now,
-                                                     SimTime* completion) const {
+                                                     SimTime* completion,
+                                                     std::uint64_t* blocks_parsed) const {
   std::vector<KvEntry> out;
   SimTime done = now;
   // First block whose last_key >= start_key; every later block may also contain matches.
@@ -328,7 +333,7 @@ Result<std::vector<KvEntry>> SSTableReader::ScanFrom(std::string_view start_key,
     }
     done = std::max(done, r.value());
     std::vector<KvEntry> entries;
-    BLOCKHEAD_RETURN_IF_ERROR(ParseBlock(block, &entries));
+    BLOCKHEAD_RETURN_IF_ERROR(ParseBlock(block, &entries, blocks_parsed));
     for (KvEntry& entry : entries) {
       if (entry.key >= start_key) {
         out.push_back(std::move(entry));

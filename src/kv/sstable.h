@@ -109,7 +109,9 @@ class SSTableReader {
     bool bloom_skipped = false;   // Lookup answered negatively by the filter alone.
   };
 
-  Result<GetResult> Get(std::string_view key, SimTime now) const;
+  // `blocks_parsed`, if given, counts the data blocks parsed.
+  Result<GetResult> Get(std::string_view key, SimTime now,
+                        std::uint64_t* blocks_parsed = nullptr) const;
 
   // Reads every entry in order (used by compaction).
   Result<std::vector<KvEntry>> ReadAll(SimTime now, SimTime* completion = nullptr) const;
@@ -117,7 +119,8 @@ class SSTableReader {
   // Reads up to `limit` entries with key >= start_key, in order, touching only the data
   // blocks that can contain them (used by range scans).
   Result<std::vector<KvEntry>> ScanFrom(std::string_view start_key, std::size_t limit,
-                                        SimTime now, SimTime* completion = nullptr) const;
+                                        SimTime now, SimTime* completion = nullptr,
+                                        std::uint64_t* blocks_parsed = nullptr) const;
 
   const std::string& name() const { return name_; }
   std::uint64_t entry_count() const { return entry_count_; }
@@ -131,8 +134,8 @@ class SSTableReader {
 
   SSTableReader(Env* env, std::string name) : env_(env), name_(std::move(name)) {}
 
-  static Status ParseBlock(std::span<const std::uint8_t> block,
-                           std::vector<KvEntry>* entries);
+  static Status ParseBlock(std::span<const std::uint8_t> block, std::vector<KvEntry>* entries,
+                           std::uint64_t* blocks_parsed = nullptr);
 
   Env* env_;
   std::string name_;
