@@ -11,7 +11,8 @@ BlockEnv::BlockEnv(BlockDevice* device)
       page_size_(device->block_size()),
       metadata_region_pages_(
           std::min<std::uint64_t>(kMetadataRegionPages, device->num_blocks() / 2)),
-      free_map_(device->num_blocks()) {
+      free_map_(device->num_blocks()),
+      page_buffer_(page_size_) {
   // Reserve the metadata region: those LBAs belong to inode tables / bitmaps / journal and
   // are never handed to file data.
   for (std::uint64_t p = 0; p < metadata_region_pages_; ++p) {
@@ -119,9 +120,9 @@ Result<SimTime> BlockEnv::FlushTailPage(FileMeta& file, SimTime now, bool pad) {
     file.extents.push_back(ext);
   }
 
-  std::vector<std::uint8_t> page(page_size_, 0);
-  std::memcpy(page.data(), file.tail.data(), static_cast<std::size_t>(bytes));
-  Result<SimTime> done = device_->WriteBlocks(Lba{lba}, 1, now, page);
+  std::memcpy(page_buffer_.data(), file.tail.data(), static_cast<std::size_t>(bytes));
+  std::memset(page_buffer_.data() + bytes, 0, page_size_ - static_cast<std::size_t>(bytes));
+  Result<SimTime> done = device_->WriteBlocks(Lba{lba}, 1, now, page_buffer_);
   if (!done.ok()) {
     return done;
   }
@@ -171,7 +172,6 @@ Result<SimTime> BlockEnv::Read(std::string_view name, std::uint64_t offset,
   SimTime done_all = now;
   std::uint64_t cur = offset;
   std::size_t out_pos = 0;
-  std::vector<std::uint8_t> page(page_size_);
   for (const Extent& ext : file->extents) {
     if (out_pos == out.size()) {
       break;
@@ -185,13 +185,19 @@ Result<SimTime> BlockEnv::Read(std::string_view name, std::uint64_t offset,
       const std::uint64_t byte_in_page = cur % page_size_;
       const std::uint64_t chunk = std::min<std::uint64_t>(
           {page_size_ - byte_in_page, ext.bytes - cur, out.size() - out_pos});
-      Result<SimTime> done = device_->ReadBlocks(Lba{ext.lba + page_index}, 1, now, page);
+      // A whole page lands straight in `out`; part of one goes through page_buffer_.
+      const bool whole_page = chunk == page_size_;
+      Result<SimTime> done = device_->ReadBlocks(
+          Lba{ext.lba + page_index}, 1, now,
+          whole_page ? out.subspan(out_pos, page_size_) : std::span<std::uint8_t>(page_buffer_));
       if (!done.ok()) {
         return done;
       }
       done_all = std::max(done_all, done.value());
-      std::memcpy(out.data() + out_pos, page.data() + byte_in_page,
-                  static_cast<std::size_t>(chunk));
+      if (!whole_page) {
+        std::memcpy(out.data() + out_pos, page_buffer_.data() + byte_in_page,
+                    static_cast<std::size_t>(chunk));
+      }
       out_pos += static_cast<std::size_t>(chunk);
       cur += chunk;
     }

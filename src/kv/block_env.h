@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "src/block/block_device.h"
 #include "src/kv/env.h"
@@ -83,6 +84,7 @@ class BlockEnv final : public Env {
   std::uint64_t metadata_cursor_ = 0;  // Pseudo-random walk over the metadata region.
   std::uint32_t data_pages_since_metadata_ = 0;
   std::map<std::string, FileMeta, std::less<>> files_;
+  std::vector<std::uint8_t> page_buffer_;  // One page, for partial-page reads and tail writes.
 };
 
 }  // namespace blockhead

@@ -517,26 +517,26 @@ Result<SimTime> KvStore::CompactLevel(std::uint32_t level, SimTime now) {
     }
   }
 
-  // Merge: apply lower level first, then upper from oldest to newest, so newer entries win.
-  std::map<std::string, KvEntry> merged;
+  // Read the lower tables first, then the upper ones oldest first; that order fixes the
+  // SimTime of every read. The merge then ranks sources newest first: upper newest..oldest
+  // (L0 is kept newest-first), then the lower level.
+  arena_.Reset();
+  merge_.Clear();
   SimTime t = now;
-  auto absorb = [&](const TableMeta& meta) -> Status {
-    SimTime completion = t;
-    Result<std::vector<KvEntry>> entries = meta.reader->ReadAll(t, &completion);
-    if (!entries.ok()) {
-      return entries.status();
+  auto read_table = [&](const TableMeta& meta, std::size_t rank) -> Status {
+    Result<SimTime> done = meta.reader->ReadAll(t, &arena_, merge_.pending());
+    if (!done.ok()) {
+      return done.status();
     }
-    t = std::max(t, completion);
-    for (KvEntry& entry : entries.value()) {
-      merged[entry.key] = std::move(entry);
-    }
+    t = std::max(t, done.value());
+    merge_.EndRun(rank);
     return Status::Ok();
   };
-  for (const TableMeta& meta : lower) {
-    BLOCKHEAD_RETURN_IF_ERROR(absorb(meta));
+  for (std::size_t i = 0; i < lower.size(); ++i) {
+    BLOCKHEAD_RETURN_IF_ERROR(read_table(lower[i], upper.size() + i));
   }
-  for (auto it = upper.rbegin(); it != upper.rend(); ++it) {  // Oldest first.
-    BLOCKHEAD_RETURN_IF_ERROR(absorb(*it));
+  for (std::size_t i = upper.size(); i-- > 0;) {
+    BLOCKHEAD_RETURN_IF_ERROR(read_table(upper[i], i));
   }
 
   // Write output tables, dropping tombstones when compacting into the bottom level.
@@ -573,7 +573,9 @@ Result<SimTime> KvStore::CompactLevel(std::uint32_t level, SimTime now) {
     return Status::Ok();
   };
 
-  for (auto& [key, entry] : merged) {
+  merge_.StartMerge();
+  KvEntryView entry;
+  while (merge_.Next(&entry)) {
     if (bottom && entry.type == KvEntryType::kTombstone) {
       continue;
     }
@@ -582,7 +584,7 @@ Result<SimTime> KvStore::CompactLevel(std::uint32_t level, SimTime now) {
       builder = std::make_unique<SSTableBuilder>(env_, TableName(builder_file_number), hint);
       BLOCKHEAD_RETURN_IF_ERROR(builder->Start(t));
     }
-    BLOCKHEAD_RETURN_IF_ERROR(builder->Add(key, entry.type, entry.value, t));
+    BLOCKHEAD_RETURN_IF_ERROR(builder->Add(entry.key, entry.type, entry.value, t));
     if (builder->file_bytes() >= config_.target_table_bytes) {
       BLOCKHEAD_RETURN_IF_ERROR(finish_builder());
     }
@@ -659,8 +661,11 @@ Result<KvStore::GetResult> KvStore::Get(std::string_view key, SimTime now) {
   }
 
   SimTime t = now;
+  arena_.Reset();
   auto probe = [&](const TableMeta& meta) -> Result<bool> {
-    Result<SSTableReader::GetResult> r = meta.reader->Get(key, t, &stats_.get_blocks_parsed);
+    const std::uint64_t parsed_before = arena_.blocks_parsed();
+    Result<SSTableReader::GetResult> r = meta.reader->Get(key, t, &arena_);
+    stats_.get_blocks_parsed += arena_.blocks_parsed() - parsed_before;
     if (!r.ok()) {
       return r.status();
     }
@@ -673,7 +678,7 @@ Result<KvStore::GetResult> KvStore::Get(std::string_view key, SimTime now) {
     }
     if (r->type == KvEntryType::kValue) {
       result.found = true;
-      result.value = std::move(r->value);
+      result.value = std::string(r->value);
       stats_.gets_found++;
     }
     return true;  // Found a definitive answer (value or tombstone).
@@ -733,53 +738,39 @@ Result<KvStore::ScanResult> KvStore::Scan(std::string_view start_key, std::size_
   }
   // Gather candidates per source with slack (tombstones and shadowed versions consume
   // candidates), then merge with newest-wins precedence. Sources are ranked newest-first:
-  // memtable (rank 0), L0 newest..oldest, then deeper levels.
+  // memtable (rank 0), L0 newest..oldest, then deeper levels. Which blocks are read, and
+  // when, depends only on `fetch` and on how many new keys each table adds to the merge.
   const std::size_t fetch = limit + 64;
-  struct Candidate {
-    std::size_t rank;
-    KvEntryType type;
-    std::string value;
-  };
-  std::map<std::string, Candidate> merged;
-  std::size_t rank = 0;
-
-  auto absorb = [&](std::size_t source_rank, const std::string& key, KvEntryType type,
-                   std::string value) {
-    stats_.scan_candidates++;
-    auto it = merged.find(key);
-    if (it == merged.end() || source_rank < it->second.rank) {
-      merged[key] = Candidate{source_rank, type, std::move(value)};
-    }
-  };
-
+  arena_.Reset();
+  merge_.Clear();
+  const std::uint64_t parsed_before = arena_.blocks_parsed();
+  std::vector<KvEntryView>* pending = merge_.pending();
   std::size_t taken = 0;
   for (auto it = memtable_.lower_bound(start_key); it != memtable_.end() && taken < fetch;
        ++it, ++taken) {
-    absorb(0, it->first,
-           it->second.has_value() ? KvEntryType::kValue : KvEntryType::kTombstone,
-           it->second.value_or(std::string()));
+    pending->push_back(KvEntryView{
+        it->first, it->second.has_value() ? KvEntryType::kValue : KvEntryType::kTombstone,
+        it->second.has_value() ? std::string_view(*it->second) : std::string_view()});
   }
-  rank = 1;
+  std::size_t rank = 0;
+  merge_.EndRun(rank++);
   SimTime t = now;
-  auto absorb_table = [&](const TableMeta& meta) -> Status {
+  // Adds the table's candidates as the next run; `fresh` gets the keys new to the merge.
+  auto add_table = [&](const TableMeta& meta, std::size_t* fresh) -> Status {
     if (std::string_view(meta.largest) < start_key) {
       return Status::Ok();
     }
-    SimTime completion = t;
-    Result<std::vector<KvEntry>> entries = meta.reader->ScanFrom(
-        start_key, fetch, t, &completion, &stats_.scan_blocks_parsed);
-    if (!entries.ok()) {
-      return entries.status();
+    Result<SimTime> done = meta.reader->ScanFrom(start_key, fetch, t, &arena_, pending);
+    if (!done.ok()) {
+      return done.status();
     }
-    t = std::max(t, completion);
-    for (KvEntry& entry : entries.value()) {
-      absorb(rank, entry.key, entry.type, std::move(entry.value));
-    }
-    ++rank;
+    t = std::max(t, done.value());
+    *fresh = merge_.EndRun(rank++);
     return Status::Ok();
   };
+  std::size_t fresh = 0;
   for (const TableMeta& meta : levels_[0]) {
-    BLOCKHEAD_RETURN_IF_ERROR(absorb_table(meta));
+    BLOCKHEAD_RETURN_IF_ERROR(add_table(meta, &fresh));
   }
   for (std::uint32_t level = 1; level < config_.max_levels; ++level) {
     // Sorted, non-overlapping tables: start at the first table that can contain start_key and
@@ -791,18 +782,19 @@ Result<KvStore::ScanResult> KvStore::Scan(std::string_view start_key, std::size_
                                });
     std::size_t level_candidates = 0;
     for (; it != tables.end() && level_candidates < fetch; ++it) {
-      const std::size_t before = merged.size();
-      BLOCKHEAD_RETURN_IF_ERROR(absorb_table(*it));
-      level_candidates += merged.size() - before + 1;  // +1 guards zero-growth loops.
+      fresh = 0;
+      BLOCKHEAD_RETURN_IF_ERROR(add_table(*it, &fresh));
+      level_candidates += fresh + 1;  // +1 guards zero-growth loops.
     }
   }
+  stats_.scan_blocks_parsed += arena_.blocks_parsed() - parsed_before;
+  stats_.scan_candidates += merge_.entry_count();
 
-  for (auto& [key, candidate] : merged) {
-    if (result.entries.size() >= limit) {
-      break;
-    }
-    if (candidate.type == KvEntryType::kValue) {
-      result.entries.emplace_back(key, std::move(candidate.value));
+  merge_.StartMerge();
+  KvEntryView entry;
+  while (result.entries.size() < limit && merge_.Next(&entry)) {
+    if (entry.type == KvEntryType::kValue) {
+      result.entries.emplace_back(entry.key, entry.value);
     }
   }
   result.completion = t;

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "src/kv/env.h"
+#include "src/kv/sorted_run_merge.h"
 #include "src/kv/sstable.h"
 #include "src/telemetry/telemetry.h"
 #include "src/util/status.h"
@@ -149,6 +150,10 @@ class KvStore {
   std::uint32_t wal_number_ = 0;
   std::vector<std::string> compaction_cursor_;  // Per-level round-robin key cursor.
   SimTime stall_until_ = 0;
+  // Read-path scratch reused by Get, Scan and CompactLevel (never nested): the blocks a call
+  // reads, and the merge over views into them.
+  BlockArena arena_;
+  SortedRunMerge merge_;
 
   KvStats stats_;
   Telemetry* telemetry_ = nullptr;

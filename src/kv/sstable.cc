@@ -29,10 +29,24 @@ std::uint64_t HashKey(std::string_view key, std::uint64_t seed) {
 
 }  // namespace
 
+// --- BlockArena ---
+
+std::span<std::uint8_t> BlockArena::Next(std::size_t size) {
+  if (used_ == buffers_.size()) {
+    buffers_.emplace_back();
+  }
+  std::vector<std::uint8_t>& buffer = buffers_[used_++];
+  buffer.resize(size);
+  return buffer;
+}
+
 // --- BloomFilter ---
 
-BloomFilter BloomFilter::Build(const std::vector<std::string>& keys,
-                               std::uint32_t bits_per_key) {
+BloomFilter::KeyHash BloomFilter::Hash(std::string_view key) {
+  return KeyHash{HashKey(key, 0), HashKey(key, 0x9E3779B97F4A7C15ULL) | 1};
+}
+
+BloomFilter BloomFilter::Build(std::span<const KeyHash> keys, std::uint32_t bits_per_key) {
   BloomFilter f;
   if (keys.empty() || bits_per_key == 0) {
     return f;
@@ -42,11 +56,9 @@ BloomFilter BloomFilter::Build(const std::vector<std::string>& keys,
   f.k_ = std::clamp<std::uint32_t>(
       static_cast<std::uint32_t>(static_cast<double>(bits_per_key) * 0.69), 1, kMaxHashes);
   f.bits_.assign((f.bit_count_ + 7) / 8, 0);
-  for (const std::string& key : keys) {
-    const std::uint64_t h1 = HashKey(key, 0);
-    const std::uint64_t h2 = HashKey(key, 0x9E3779B97F4A7C15ULL) | 1;
+  for (const KeyHash& h : keys) {
     for (std::uint32_t i = 0; i < f.k_; ++i) {
-      const std::uint64_t bit = (h1 + i * h2) % f.bit_count_;
+      const std::uint64_t bit = (h.h1 + i * h.h2) % f.bit_count_;
       f.bits_[bit / 8] |= static_cast<std::uint8_t>(1U << (bit % 8));
     }
   }
@@ -57,10 +69,9 @@ bool BloomFilter::MayContain(std::string_view key) const {
   if (bit_count_ == 0) {
     return true;  // No filter -> cannot exclude.
   }
-  const std::uint64_t h1 = HashKey(key, 0);
-  const std::uint64_t h2 = HashKey(key, 0x9E3779B97F4A7C15ULL) | 1;
+  const KeyHash h = Hash(key);
   for (std::uint32_t i = 0; i < k_; ++i) {
-    const std::uint64_t bit = (h1 + i * h2) % bit_count_;
+    const std::uint64_t bit = (h.h1 + i * h.h2) % bit_count_;
     if (!(bits_[bit / 8] & (1U << (bit % 8)))) {
       return false;
     }
@@ -122,8 +133,7 @@ Status SSTableBuilder::FlushBlock(SimTime now) {
     return appended.status();
   }
   last_write_ = std::max(last_write_, appended.value());
-  index_.push_back(IndexEntry{offset_, static_cast<std::uint32_t>(block_.size()),
-                              block_last_key_});
+  index_.push_back(IndexEntry{offset_, static_cast<std::uint32_t>(block_.size()), largest_});
   offset_ += block_.size();
   block_.clear();
   return Status::Ok();
@@ -134,16 +144,15 @@ Status SSTableBuilder::Add(std::string_view key, KvEntryType type, std::string_v
   assert(started_);
   assert(entry_count_ == 0 || key > largest_);
   if (entry_count_ == 0) {
-    smallest_ = std::string(key);
+    smallest_.assign(key);
   }
-  largest_ = std::string(key);
+  largest_.assign(key);
   PutU16(block_, static_cast<std::uint16_t>(key.size()));
   block_.insert(block_.end(), key.begin(), key.end());
   block_.push_back(static_cast<std::uint8_t>(type));
   PutU32(block_, static_cast<std::uint32_t>(value.size()));
   block_.insert(block_.end(), value.begin(), value.end());
-  block_last_key_ = std::string(key);
-  keys_.emplace_back(key);
+  key_hashes_.push_back(BloomFilter::Hash(key));
   entry_count_++;
   if (block_.size() >= kSSTableBlockBytes) {
     return FlushBlock(now);
@@ -165,7 +174,7 @@ Result<SimTime> SSTableBuilder::Finish(SimTime now) {
   }
   const std::uint64_t index_len = tail.size();
 
-  const BloomFilter bloom = BloomFilter::Build(keys_, kBloomBitsPerKey);
+  const BloomFilter bloom = BloomFilter::Build(key_hashes_, kBloomBitsPerKey);
   const std::vector<std::uint8_t> bloom_bytes = bloom.Serialize();
   const std::uint64_t bloom_off = index_off + index_len;
   tail.insert(tail.end(), bloom_bytes.begin(), bloom_bytes.end());
@@ -260,112 +269,97 @@ Result<std::unique_ptr<SSTableReader>> SSTableReader::Open(Env* env, std::string
   return reader;
 }
 
-Status SSTableReader::ParseBlock(std::span<const std::uint8_t> block,
-                                 std::vector<KvEntry>* entries, std::uint64_t* blocks_parsed) {
-  if (blocks_parsed != nullptr) {
-    ++*blocks_parsed;
+template <typename Visit>
+Result<SimTime> SSTableReader::ReadBlock(const IndexEntry& e, SimTime now, BlockArena* arena,
+                                         Visit&& visit) const {
+  const std::span<std::uint8_t> block = arena->Next(e.size);
+  Result<SimTime> r = env_->Read(name_, e.offset, block, now);
+  if (!r.ok()) {
+    return r;
   }
+  arena->blocks_parsed_++;
   ByteReader in(block);
   while (in.remaining() >= 7) {  // key length u16 | key | type u8 | value length u32 | value
-    KvEntry entry;
-    entry.key = in.String(in.U16());
+    KvEntryView entry;
+    entry.key = in.View(in.U16());
     entry.type = static_cast<KvEntryType>(in.U8());
-    entry.value = in.String(in.U32());
+    entry.value = in.View(in.U32());
     if (!in.ok()) {
       return Status(ErrorCode::kCorruption, "truncated entry");
     }
-    entries->push_back(std::move(entry));
+    visit(entry);
   }
-  return Status::Ok();
+  return r;
+}
+
+// First block whose last_key >= key; every later block may also hold keys >= key.
+std::vector<SSTableReader::IndexEntry>::const_iterator SSTableReader::FirstBlockFor(
+    std::string_view key) const {
+  return std::lower_bound(index_.begin(), index_.end(), key,
+                          [](const IndexEntry& e, std::string_view k) {
+                            return std::string_view(e.last_key) < k;
+                          });
 }
 
 Result<SSTableReader::GetResult> SSTableReader::Get(std::string_view key, SimTime now,
-                                                    std::uint64_t* blocks_parsed) const {
+                                                    BlockArena* arena) const {
   GetResult result;
   result.completion = now;
   if (!bloom_.MayContain(key)) {
     result.bloom_skipped = true;
     return result;
   }
-  // First block whose last_key >= key.
-  auto it = std::lower_bound(index_.begin(), index_.end(), key,
-                             [](const IndexEntry& e, std::string_view k) {
-                               return std::string_view(e.last_key) < k;
-                             });
+  auto it = FirstBlockFor(key);
   if (it == index_.end()) {
     return result;
   }
-  std::vector<std::uint8_t> block(it->size);
-  Result<SimTime> r = env_->Read(name_, it->offset, block, now);
-  if (!r.ok()) {
-    return r.status();
-  }
-  result.completion = r.value();
-  std::vector<KvEntry> entries;
-  BLOCKHEAD_RETURN_IF_ERROR(ParseBlock(block, &entries, blocks_parsed));
-  for (const KvEntry& e : entries) {
+  Result<SimTime> r = ReadBlock(*it, now, arena, [&](const KvEntryView& e) {
     if (e.key == key) {
       result.found = true;
       result.type = e.type;
       result.value = e.value;
-      return result;
     }
+  });
+  if (!r.ok()) {
+    return r.status();
   }
+  result.completion = r.value();
   return result;
 }
 
-Result<std::vector<KvEntry>> SSTableReader::ScanFrom(std::string_view start_key,
-                                                     std::size_t limit, SimTime now,
-                                                     SimTime* completion,
-                                                     std::uint64_t* blocks_parsed) const {
-  std::vector<KvEntry> out;
+Result<SimTime> SSTableReader::ScanFrom(std::string_view start_key, std::size_t limit,
+                                        SimTime now, BlockArena* arena,
+                                        std::vector<KvEntryView>* out) const {
   SimTime done = now;
-  // First block whose last_key >= start_key; every later block may also contain matches.
-  auto it = std::lower_bound(index_.begin(), index_.end(), start_key,
-                             [](const IndexEntry& e, std::string_view k) {
-                               return std::string_view(e.last_key) < k;
-                             });
-  for (; it != index_.end() && out.size() < limit; ++it) {
-    std::vector<std::uint8_t> block(it->size);
-    Result<SimTime> r = env_->Read(name_, it->offset, block, now);
+  std::size_t taken = 0;
+  for (auto it = FirstBlockFor(start_key); it != index_.end() && taken < limit; ++it) {
+    Result<SimTime> r = ReadBlock(*it, now, arena, [&](const KvEntryView& e) {
+      if (taken < limit && e.key >= start_key) {
+        out->push_back(e);
+        ++taken;
+      }
+    });
     if (!r.ok()) {
-      return r.status();
+      return r;
     }
     done = std::max(done, r.value());
-    std::vector<KvEntry> entries;
-    BLOCKHEAD_RETURN_IF_ERROR(ParseBlock(block, &entries, blocks_parsed));
-    for (KvEntry& entry : entries) {
-      if (entry.key >= start_key) {
-        out.push_back(std::move(entry));
-        if (out.size() >= limit) {
-          break;
-        }
-      }
-    }
   }
-  if (completion != nullptr) {
-    *completion = done;
-  }
-  return out;
+  return done;
 }
 
-Result<std::vector<KvEntry>> SSTableReader::ReadAll(SimTime now, SimTime* completion) const {
-  std::vector<KvEntry> all;
-  all.reserve(entry_count_);
+Result<SimTime> SSTableReader::ReadAll(SimTime now, BlockArena* arena,
+                                       std::vector<KvEntryView>* out) const {
   SimTime done = now;
   for (const IndexEntry& e : index_) {
-    std::vector<std::uint8_t> block(e.size);
-    Result<SimTime> r = env_->Read(name_, e.offset, block, now);
+    Result<SimTime> r = ReadBlock(e, now, arena, [out](const KvEntryView& v) {
+      out->push_back(v);
+    });
     if (!r.ok()) {
-      return r.status();
+      return r;
     }
     done = std::max(done, r.value());
-    BLOCKHEAD_RETURN_IF_ERROR(ParseBlock(block, &all));
   }
-  if (completion != nullptr) {
-    *completion = done;
-  }
-  return all;
+  return done;
 }
 
 }  // namespace blockhead

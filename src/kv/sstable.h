@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,18 +30,47 @@ namespace blockhead {
 
 enum class KvEntryType : std::uint8_t { kTombstone = 0, kValue = 1 };
 
-struct KvEntry {
-  std::string key;
+// One entry viewed in place: the key and value point into the bytes it was parsed from (a
+// data block in a BlockArena, or a memtable node).
+struct KvEntryView {
+  std::string_view key;
   KvEntryType type = KvEntryType::kValue;
-  std::string value;
+  std::string_view value;
+};
+
+// Buffers for the data blocks one call reads, reused from call to call so the read path does
+// not allocate once warm. A buffer keeps its address until Reset(), so entry views parsed
+// from it stay valid for the rest of the call.
+class BlockArena {
+ public:
+  // Frees every buffer for reuse; views into them become invalid.
+  void Reset() { used_ = 0; }
+  // A buffer of `size` bytes whose address holds until Reset().
+  std::span<std::uint8_t> Next(std::size_t size);
+  // Data blocks SSTableReader has parsed from this arena's buffers (a work counter).
+  std::uint64_t blocks_parsed() const { return blocks_parsed_; }
+
+ private:
+  friend class SSTableReader;
+
+  std::vector<std::vector<std::uint8_t>> buffers_;
+  std::size_t used_ = 0;
+  std::uint64_t blocks_parsed_ = 0;
 };
 
 // Blocked bloom-free simple bloom filter with double hashing.
 class BloomFilter {
  public:
+  // The two FNV-1a hashes a key probes with (h2 is odd).
+  struct KeyHash {
+    std::uint64_t h1 = 0;
+    std::uint64_t h2 = 0;
+  };
+
   BloomFilter() = default;
 
-  static BloomFilter Build(const std::vector<std::string>& keys, std::uint32_t bits_per_key);
+  static KeyHash Hash(std::string_view key);
+  static BloomFilter Build(std::span<const KeyHash> keys, std::uint32_t bits_per_key);
   static Result<BloomFilter> Deserialize(std::span<const std::uint8_t> bytes);
 
   bool MayContain(std::string_view key) const;
@@ -86,12 +116,11 @@ class SSTableBuilder {
   Lifetime hint_;
   std::vector<std::uint8_t> block_;
   std::vector<IndexEntry> index_;
-  std::vector<std::string> keys_;  // For the bloom filter.
+  std::vector<BloomFilter::KeyHash> key_hashes_;  // For the bloom filter.
   std::uint64_t offset_ = 0;
   std::uint64_t entry_count_ = 0;
   std::string smallest_;
-  std::string largest_;
-  std::string block_last_key_;
+  std::string largest_;  // Also the last key of the block being built.
   SimTime last_write_ = 0;
   bool started_ = false;
 };
@@ -101,26 +130,27 @@ class SSTableReader {
  public:
   static Result<std::unique_ptr<SSTableReader>> Open(Env* env, std::string name, SimTime now);
 
+  // The reads below put each data block they read into `arena`; the entry views they return
+  // point into it and stay valid until the arena is reset.
+
   struct GetResult {
     bool found = false;           // Key present (as value or tombstone).
     KvEntryType type = KvEntryType::kValue;
-    std::string value;
+    std::string_view value;
     SimTime completion = 0;
     bool bloom_skipped = false;   // Lookup answered negatively by the filter alone.
   };
 
-  // `blocks_parsed`, if given, counts the data blocks parsed.
-  Result<GetResult> Get(std::string_view key, SimTime now,
-                        std::uint64_t* blocks_parsed = nullptr) const;
+  Result<GetResult> Get(std::string_view key, SimTime now, BlockArena* arena) const;
 
-  // Reads every entry in order (used by compaction).
-  Result<std::vector<KvEntry>> ReadAll(SimTime now, SimTime* completion = nullptr) const;
+  // Appends every entry, in order, to `out` (used by compaction). Returns the completion of
+  // the last block read (`now` if none).
+  Result<SimTime> ReadAll(SimTime now, BlockArena* arena, std::vector<KvEntryView>* out) const;
 
-  // Reads up to `limit` entries with key >= start_key, in order, touching only the data
-  // blocks that can contain them (used by range scans).
-  Result<std::vector<KvEntry>> ScanFrom(std::string_view start_key, std::size_t limit,
-                                        SimTime now, SimTime* completion = nullptr,
-                                        std::uint64_t* blocks_parsed = nullptr) const;
+  // Appends up to `limit` entries with key >= start_key, in order, to `out`, reading only the
+  // data blocks that can contain them (used by range scans). Returns as ReadAll does.
+  Result<SimTime> ScanFrom(std::string_view start_key, std::size_t limit, SimTime now,
+                           BlockArena* arena, std::vector<KvEntryView>* out) const;
 
   const std::string& name() const { return name_; }
   std::uint64_t entry_count() const { return entry_count_; }
@@ -134,8 +164,13 @@ class SSTableReader {
 
   SSTableReader(Env* env, std::string name) : env_(env), name_(std::move(name)) {}
 
-  static Status ParseBlock(std::span<const std::uint8_t> block, std::vector<KvEntry>* entries,
-                           std::uint64_t* blocks_parsed = nullptr);
+  // Reads data block `e` into `arena`, parses it and calls visit(entry) for each entry in
+  // order. A truncated entry anywhere in the block fails the whole read with kCorruption.
+  template <typename Visit>
+  Result<SimTime> ReadBlock(const IndexEntry& e, SimTime now, BlockArena* arena,
+                            Visit&& visit) const;
+  // The first block whose last key is >= `key`.
+  std::vector<IndexEntry>::const_iterator FirstBlockFor(std::string_view key) const;
 
   Env* env_;
   std::string name_;

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace blockhead {
@@ -47,10 +48,11 @@ class ByteReader {
     pos_ += len;
     return taken;
   }
-  std::string String(std::size_t len) {
+  std::string_view View(std::size_t len) {
     const std::span<const std::uint8_t> bytes = Take(len);
-    return std::string(reinterpret_cast<const char*>(bytes.data()), bytes.size());
+    return std::string_view(reinterpret_cast<const char*>(bytes.data()), bytes.size());
   }
+  std::string String(std::size_t len) { return std::string(View(len)); }
 
  private:
   std::uint64_t Read(std::size_t n) {

@@ -48,12 +48,20 @@ std::string ValueOf(std::uint64_t n, std::size_t len = 64) {
 
 // --- BloomFilter ---
 
+BloomFilter FilterOf(const std::vector<std::string>& keys) {
+  std::vector<BloomFilter::KeyHash> hashes;
+  for (const std::string& key : keys) {
+    hashes.push_back(BloomFilter::Hash(key));
+  }
+  return BloomFilter::Build(hashes, 10);
+}
+
 TEST(BloomFilterTest, NoFalseNegatives) {
   std::vector<std::string> keys;
   for (int i = 0; i < 1000; ++i) {
     keys.push_back(KeyOf(static_cast<std::uint64_t>(i)));
   }
-  const BloomFilter f = BloomFilter::Build(keys, 10);
+  const BloomFilter f = FilterOf(keys);
   for (const auto& key : keys) {
     EXPECT_TRUE(f.MayContain(key));
   }
@@ -64,7 +72,7 @@ TEST(BloomFilterTest, LowFalsePositiveRate) {
   for (int i = 0; i < 1000; ++i) {
     keys.push_back(KeyOf(static_cast<std::uint64_t>(i)));
   }
-  const BloomFilter f = BloomFilter::Build(keys, 10);
+  const BloomFilter f = FilterOf(keys);
   int false_positives = 0;
   for (int i = 1000; i < 11000; ++i) {
     if (f.MayContain(KeyOf(static_cast<std::uint64_t>(i)))) {
@@ -76,7 +84,7 @@ TEST(BloomFilterTest, LowFalsePositiveRate) {
 
 TEST(BloomFilterTest, SerializeRoundTrip) {
   std::vector<std::string> keys = {"a", "b", "c"};
-  const BloomFilter f = BloomFilter::Build(keys, 10);
+  const BloomFilter f = FilterOf(keys);
   const auto bytes = f.Serialize();
   auto g = BloomFilter::Deserialize(bytes);
   ASSERT_TRUE(g.ok());
@@ -219,13 +227,14 @@ TEST(SSTableTest, BuildAndReadBack) {
   auto reader = SSTableReader::Open(&env, "t.sst", finished.value());
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
   EXPECT_EQ(reader.value()->entry_count(), 500u);
+  BlockArena arena;
   for (int i = 0; i < 500; i += 7) {
-    auto got = reader.value()->Get(KeyOf(static_cast<std::uint64_t>(i)), 0);
+    auto got = reader.value()->Get(KeyOf(static_cast<std::uint64_t>(i)), 0, &arena);
     ASSERT_TRUE(got.ok());
     EXPECT_TRUE(got->found);
     EXPECT_EQ(got->value, ValueOf(static_cast<std::uint64_t>(i)));
   }
-  auto missing = reader.value()->Get("zzz-not-there", 0);
+  auto missing = reader.value()->Get("zzz-not-there", 0, &arena);
   ASSERT_TRUE(missing.ok());
   EXPECT_FALSE(missing->found);
 }
@@ -240,13 +249,16 @@ TEST(SSTableTest, TombstonesRoundTrip) {
   ASSERT_TRUE(builder.Finish(0).ok());
   auto reader = SSTableReader::Open(&env, "t.sst", 0);
   ASSERT_TRUE(reader.ok());
-  auto g1 = reader.value()->Get("k1", 0);
+  BlockArena arena;
+  auto g1 = reader.value()->Get("k1", 0, &arena);
   ASSERT_TRUE(g1.ok());
   EXPECT_TRUE(g1->found);
   EXPECT_EQ(g1->type, KvEntryType::kTombstone);
-  auto all = reader.value()->ReadAll(0);
-  ASSERT_TRUE(all.ok());
-  EXPECT_EQ(all->size(), 2u);
+  std::vector<KvEntryView> all;
+  ASSERT_TRUE(reader.value()->ReadAll(0, &arena, &all).ok());
+  ASSERT_EQ(all.size(), 2u);
+  EXPECT_EQ(all[0].type, KvEntryType::kTombstone);
+  EXPECT_EQ(all[1].value, "v2");
 }
 
 TEST(SSTableTest, ReadAllPreservesOrder) {
@@ -261,11 +273,12 @@ TEST(SSTableTest, ReadAllPreservesOrder) {
   ASSERT_TRUE(builder.Finish(0).ok());
   auto reader = SSTableReader::Open(&env, "t.sst", 0);
   ASSERT_TRUE(reader.ok());
-  auto all = reader.value()->ReadAll(0);
-  ASSERT_TRUE(all.ok());
-  ASSERT_EQ(all->size(), 300u);
-  for (std::size_t i = 1; i < all->size(); ++i) {
-    EXPECT_LT((*all)[i - 1].key, (*all)[i].key);
+  BlockArena arena;
+  std::vector<KvEntryView> all;
+  ASSERT_TRUE(reader.value()->ReadAll(0, &arena, &all).ok());
+  ASSERT_EQ(all.size(), 300u);
+  for (std::size_t i = 1; i < all.size(); ++i) {
+    EXPECT_LT(all[i - 1].key, all[i].key);
   }
 }
 
@@ -357,17 +370,19 @@ TEST(SSTableTest, ScanFromReadsOnlyNeededBlocks) {
   auto reader = SSTableReader::Open(&env, "t.sst", 0);
   ASSERT_TRUE(reader.ok());
   const std::uint64_t reads_before = ssd.ftl_stats().host_pages_read;
-  auto scanned = reader.value()->ScanFrom(KeyOf(500), 10, 0);
-  ASSERT_TRUE(scanned.ok());
-  ASSERT_EQ(scanned->size(), 10u);
-  EXPECT_EQ((*scanned)[0].key, KeyOf(500));
-  EXPECT_EQ((*scanned)[9].key, KeyOf(509));
+  BlockArena arena;
+  std::vector<KvEntryView> scanned;
+  ASSERT_TRUE(reader.value()->ScanFrom(KeyOf(500), 10, 0, &arena, &scanned).ok());
+  ASSERT_EQ(scanned.size(), 10u);
+  EXPECT_EQ(scanned[0].key, KeyOf(500));
+  EXPECT_EQ(scanned[9].key, KeyOf(509));
+  EXPECT_EQ(scanned[9].value, ValueOf(509));
   const std::uint64_t reads_used = ssd.ftl_stats().host_pages_read - reads_before;
   EXPECT_LT(reads_used, 6u) << "a 10-entry scan must not read the whole table";
   // Scan from beyond the last key: empty.
-  auto empty = reader.value()->ScanFrom("zzzz", 10, 0);
-  ASSERT_TRUE(empty.ok());
-  EXPECT_TRUE(empty->empty());
+  std::vector<KvEntryView> empty;
+  ASSERT_TRUE(reader.value()->ScanFrom("zzzz", 10, 0, &arena, &empty).ok());
+  EXPECT_TRUE(empty.empty());
 }
 
 // --- KvStore on both environments ---
