@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -42,11 +43,14 @@ std::uint64_t Fnv(std::uint64_t h, const void* data, std::size_t len) {
   return h;
 }
 
-// Forwards to another Env and folds every Read into two hashes: one over the call itself
-// (name, offset, size, now) and one over the bytes it returned.
-class RecordingEnv final : public Env {
+// Forwards to another Env and hands every successful Read, once done, to `on_read`, which
+// may inspect or alter the bytes read.
+class TapEnv final : public Env {
  public:
-  explicit RecordingEnv(Env* inner) : inner_(inner) {}
+  using ReadTap =
+      std::function<void(std::string_view, std::uint64_t, std::span<std::uint8_t>, SimTime)>;
+
+  TapEnv(Env* inner, ReadTap on_read) : inner_(inner), on_read_(std::move(on_read)) {}
 
   Result<SimTime> CreateFile(std::string_view name, Lifetime hint, SimTime now) override {
     return inner_->CreateFile(name, hint, now);
@@ -57,59 +61,9 @@ class RecordingEnv final : public Env {
   }
   Result<SimTime> Read(std::string_view name, std::uint64_t offset, std::span<std::uint8_t> out,
                        SimTime now) override {
-    const std::uint64_t words[3] = {offset, out.size(), now};
-    call_hash_ = Fnv(Fnv(call_hash_, name.data(), name.size()), words, sizeof(words));
-    ++reads_;
     Result<SimTime> done = inner_->Read(name, offset, out, now);
     if (done.ok()) {
-      bytes_hash_ = Fnv(bytes_hash_, out.data(), out.size());
-    }
-    return done;
-  }
-  Result<SimTime> Sync(std::string_view name, SimTime now) override {
-    return inner_->Sync(name, now);
-  }
-  Result<SimTime> DeleteFile(std::string_view name, SimTime now) override {
-    return inner_->DeleteFile(name, now);
-  }
-  Result<std::uint64_t> FileSize(std::string_view name) const override {
-    return inner_->FileSize(name);
-  }
-  bool Exists(std::string_view name) const override { return inner_->Exists(name); }
-  std::vector<std::string> ListFiles() const override { return inner_->ListFiles(); }
-
-  std::uint64_t call_hash() const { return call_hash_; }
-  std::uint64_t bytes_hash() const { return bytes_hash_; }
-  std::uint64_t reads() const { return reads_; }
-
- private:
-  Env* inner_;
-  std::uint64_t call_hash_ = 1469598103934665603ULL;
-  std::uint64_t bytes_hash_ = 1469598103934665603ULL;
-  std::uint64_t reads_ = 0;
-};
-
-// Corrupts the first entry of every table's first data block on read once armed: its key
-// length becomes 0xFFFF, so the entry runs past the end of the block.
-class CorruptingEnv final : public Env {
- public:
-  explicit CorruptingEnv(Env* inner) : inner_(inner) {}
-
-  void Arm() { armed_ = true; }
-
-  Result<SimTime> CreateFile(std::string_view name, Lifetime hint, SimTime now) override {
-    return inner_->CreateFile(name, hint, now);
-  }
-  Result<SimTime> Append(std::string_view name, std::span<const std::uint8_t> data,
-                         SimTime now) override {
-    return inner_->Append(name, data, now);
-  }
-  Result<SimTime> Read(std::string_view name, std::uint64_t offset, std::span<std::uint8_t> out,
-                       SimTime now) override {
-    Result<SimTime> done = inner_->Read(name, offset, out, now);
-    if (done.ok() && armed_ && offset == 0 && name.ends_with(".sst") && out.size() >= 2) {
-      out[0] = 0xFF;
-      out[1] = 0xFF;
+      on_read_(name, offset, out, now);
     }
     return done;
   }
@@ -127,7 +81,7 @@ class CorruptingEnv final : public Env {
 
  private:
   Env* inner_;
-  bool armed_ = false;
+  ReadTap on_read_;
 };
 
 KvConfig SmallLevels() {
@@ -249,7 +203,17 @@ INSTANTIATE_TEST_SUITE_P(Seeds, KvScanDifferentialTest, ::testing::Values(1, 2, 
 TEST(KvReadScheduleTest, EnvReadSequenceIsPinned) {
   ConventionalSsd ssd(SmallFlash(), FtlConfig{});
   BlockEnv block_env(&ssd);
-  RecordingEnv env(&block_env);
+  // One hash over the calls (name, offset, size, now), one over the bytes they returned.
+  std::uint64_t reads = 0;
+  std::uint64_t call_hash = 1469598103934665603ULL;
+  std::uint64_t bytes_hash = 1469598103934665603ULL;
+  TapEnv env(&block_env, [&](std::string_view name, std::uint64_t offset,
+                             std::span<std::uint8_t> out, SimTime now) {
+    const std::uint64_t words[3] = {offset, out.size(), now};
+    call_hash = Fnv(Fnv(call_hash, name.data(), name.size()), words, sizeof(words));
+    bytes_hash = Fnv(bytes_hash, out.data(), out.size());
+    ++reads;
+  });
   auto opened = KvStore::Open(&env, SmallLevels(), 0);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   std::unique_ptr<KvStore> store = std::move(opened).value();
@@ -268,16 +232,25 @@ TEST(KvReadScheduleTest, EnvReadSequenceIsPinned) {
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     writer.t = std::max(writer.t, got->completion);
   }
-  EXPECT_EQ(env.reads(), 10359u);
-  EXPECT_EQ(env.call_hash(), 17036960899056127010ULL);
-  EXPECT_EQ(env.bytes_hash(), 15909227318582336569ULL);
+  EXPECT_EQ(reads, 10359u);
+  EXPECT_EQ(call_hash, 17036960899056127010ULL);
+  EXPECT_EQ(bytes_hash, 15909227318582336569ULL);
   EXPECT_EQ(writer.t, 157138u);
 }
 
 TEST(KvCorruptionTest, TruncatedBlockEntryFailsGetScanAndCompaction) {
   ConventionalSsd ssd(SmallFlash(), FtlConfig{});
   BlockEnv block_env(&ssd);
-  CorruptingEnv env(&block_env);
+  // Once armed, the first entry of every table's first data block gets key length 0xFFFF,
+  // so it runs past the end of the block.
+  bool armed = false;
+  TapEnv env(&block_env, [&armed](std::string_view name, std::uint64_t offset,
+                                  std::span<std::uint8_t> out, SimTime) {
+    if (armed && offset == 0 && name.ends_with(".sst")) {
+      out[0] = 0xFF;
+      out[1] = 0xFF;
+    }
+  });
   KvConfig config;
   config.memtable_bytes = 1 * kMiB;  // Only explicit flushes.
   auto opened = KvStore::Open(&env, config, 0);
@@ -298,7 +271,7 @@ TEST(KvCorruptionTest, TruncatedBlockEntryFailsGetScanAndCompaction) {
   ASSERT_TRUE(store->Get(KeyOf(0), t).ok());
   ASSERT_TRUE(store->Scan(KeyOf(0), 10, t).ok());
 
-  env.Arm();
+  armed = true;
   EXPECT_EQ(store->Get(KeyOf(0), t).code(), ErrorCode::kCorruption);
   EXPECT_EQ(store->Scan(KeyOf(0), 10, t).code(), ErrorCode::kCorruption);
   EXPECT_EQ(store->Scan("", 1, t).code(), ErrorCode::kCorruption);
