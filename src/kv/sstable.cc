@@ -46,17 +46,18 @@ BloomFilter::KeyHash BloomFilter::Hash(std::string_view key) {
   return KeyHash{HashKey(key, 0), HashKey(key, 0x9E3779B97F4A7C15ULL) | 1};
 }
 
-BloomFilter BloomFilter::Build(std::span<const KeyHash> keys, std::uint32_t bits_per_key) {
+BloomFilter BloomFilter::Build(std::span<const KeyHash> hashes, std::uint32_t bits_per_key) {
   BloomFilter f;
-  if (keys.empty() || bits_per_key == 0) {
+  if (hashes.empty() || bits_per_key == 0) {
     return f;
   }
-  f.bit_count_ = static_cast<std::uint32_t>(std::max<std::size_t>(64, keys.size() * bits_per_key));
+  f.bit_count_ =
+      static_cast<std::uint32_t>(std::max<std::size_t>(64, hashes.size() * bits_per_key));
   // k = bits_per_key * ln2, clamped.
   f.k_ = std::clamp<std::uint32_t>(
       static_cast<std::uint32_t>(static_cast<double>(bits_per_key) * 0.69), 1, kMaxHashes);
   f.bits_.assign((f.bit_count_ + 7) / 8, 0);
-  for (const KeyHash& h : keys) {
+  for (const KeyHash& h : hashes) {
     for (std::uint32_t i = 0; i < f.k_; ++i) {
       const std::uint64_t bit = (h.h1 + i * h.h2) % f.bit_count_;
       f.bits_[bit / 8] |= static_cast<std::uint8_t>(1U << (bit % 8));

@@ -70,7 +70,7 @@ class BloomFilter {
   BloomFilter() = default;
 
   static KeyHash Hash(std::string_view key);
-  static BloomFilter Build(std::span<const KeyHash> keys, std::uint32_t bits_per_key);
+  static BloomFilter Build(std::span<const KeyHash> hashes, std::uint32_t bits_per_key);
   static Result<BloomFilter> Deserialize(std::span<const std::uint8_t> bytes);
 
   bool MayContain(std::string_view key) const;
