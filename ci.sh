@@ -5,7 +5,7 @@
 #                      # trace/audit smokes,
 #                      # including the golden-digest fast subset and a negative test that a
 #                      # perturbed GC decision is caught and bisected), then ASan/UBSan tests
-#                      # (timeline determinism included) and two benches whose ASan/UBSan
+#                      # (timeline determinism included) and three benches whose ASan/UBSan
 #                      # Debug stdout must match the Release build's
 #   ./ci.sh --tier1    # tier-1 only
 #   ./ci.sh --asan     # sanitizer pass only
@@ -487,12 +487,13 @@ if [[ "$run_asan" == 1 ]]; then
 
   echo "=== sanitizers: assert-enabled benches print what the Release build prints ==="
   # The Release tree compiles asserts out, so a contract only an assert checks would go
-  # unexercised by every bench run; two benches run here with asserts, ASan and UBSan on.
+  # unexercised by every bench run; three benches run here with asserts, ASan and UBSan on
+  # (bench_tail_latency runs the LSM on both KV file backends).
   cmake -B build -S .
-  cmake --build build -j "$jobs" --target bench_fleet bench_read_latency
+  cmake --build build -j "$jobs" --target bench_fleet bench_read_latency bench_tail_latency
   san_out=$(mktemp -d)
   trap 'rm -rf "${smoke_dir:-}" "$san_out"' EXIT
-  for bench in bench_fleet bench_read_latency; do
+  for bench in bench_fleet bench_read_latency bench_tail_latency; do
     build/bench/$bench > "$san_out/$bench.release"
     ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
       build-asan/bench/$bench > "$san_out/$bench.asan"

@@ -1,12 +1,12 @@
 // A minimal extent-allocating filesystem over the block interface, used as the conventional-
 // SSD backend for the KV store.
 //
-// Files are lists of extents carved from a page-granular free bitmap with first-fit
-// allocation. As files of different sizes are created and deleted, the free space fragments,
-// so large SSTable writes scatter across the LBA space — and the conventional SSD's FTL, which
-// cannot know which pages will die together, pays for it in garbage-collection write
-// amplification. Deletions issue TRIM so the device learns about dead pages (being generous to
-// the conventional baseline).
+// Files are lists of extents (the ExtentFile body zonefile uses too) carved page by page from
+// a page-granular free bitmap with first-fit allocation. As files of different sizes are
+// created and deleted, the free space fragments, so large SSTable writes scatter across the
+// LBA space — and the conventional SSD's FTL, which cannot know which pages will die
+// together, pays for it in garbage-collection write amplification. Deletions issue TRIM so
+// the device learns about dead pages (being generous to the conventional baseline).
 //
 // Metadata is kept in memory only: the block path exists to measure data-path behaviour, and
 // the paper's claims under reproduction here concern write amplification and latency, not
@@ -23,13 +23,12 @@
 #include "src/block/block_device.h"
 #include "src/kv/env.h"
 #include "src/util/bitmap.h"
+#include "src/zonefile/extent_file.h"
 
 namespace blockhead {
 
 class BlockEnv final : public Env {
  public:
-  // Largest contiguous run requested per allocation.
-  static constexpr std::uint32_t kMaxExtentPages = 64;
   // In-place metadata (inode tables, bitmaps, journal): hot small overwrites that share erasure
   // blocks with cold file data, which the FTL cannot separate (§4.1), a primary source of
   // conventional-SSD write amplification. They land in the first kMetadataRegionPages LBAs (at
@@ -56,35 +55,29 @@ class BlockEnv final : public Env {
   std::uint64_t FreePages() const { return free_map_.size() - free_map_.set_count(); }
 
  private:
-  struct Extent {
-    std::uint64_t lba = 0;
-    std::uint32_t pages = 0;
-    std::uint64_t bytes = 0;
-  };
-  struct FileMeta {
+  struct FileMeta : ExtentFile {
     Lifetime hint = Lifetime::kNone;  // Recorded but unused: the block interface drops it.
-    std::uint64_t size = 0;
-    std::vector<Extent> extents;
-    std::vector<std::uint8_t> tail;
   };
 
   FileMeta* Find(std::string_view name);
   const FileMeta* Find(std::string_view name) const;
-  // Allocates up to `want` contiguous pages (first fit); returns the run or kDeviceFull.
-  Result<Extent> AllocateRun(std::uint32_t want);
-  Result<SimTime> FlushTailPage(FileMeta& file, SimTime now, bool pad);
+  // Takes the first free page at or after the roving cursor, wrapping once; kDeviceFull if
+  // none is free.
+  Result<Lba> AllocatePage();
+  // Writes the tail's page behind the file's last extent if that page is free, else at the
+  // next free page.
+  Result<SimTime> FlushTailPage(FileMeta& file, SimTime now);
   // In-place metadata overwrites (inode/bitmap/journal model).
   Result<SimTime> MetadataUpdate(std::uint32_t pages, SimTime now);
 
   BlockDevice* device_;
-  std::uint32_t page_size_;
   std::uint64_t metadata_region_pages_;  // LBAs [0, this) take the metadata traffic.
   Bitmap free_map_;  // Set bit = page in use.
   std::size_t alloc_cursor_ = 0;
   std::uint64_t metadata_cursor_ = 0;  // Pseudo-random walk over the metadata region.
   std::uint32_t data_pages_since_metadata_ = 0;
   std::map<std::string, FileMeta, std::less<>> files_;
-  std::vector<std::uint8_t> page_buffer_;  // One page, for partial-page reads and tail writes.
+  ExtentFileCore core_;
 };
 
 }  // namespace blockhead

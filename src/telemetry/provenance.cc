@@ -100,15 +100,6 @@ Bytes WriteProvenance::DomainBytes(std::string_view domain) const {
   return it == domains_.end() ? Bytes{0} : it->second;
 }
 
-std::vector<std::string> WriteProvenance::DeviceNames() const {
-  std::vector<std::string> names;
-  names.reserve(devices_.size());
-  for (const auto& [name, ledger] : devices_) {
-    names.push_back(name);
-  }
-  return names;
-}
-
 std::uint64_t WriteProvenance::ProgramCount(const DeviceLedger& ledger, WriteCause cause) {
   std::uint64_t sum = 0;
   for (int l = 0; l < kStackLayerCount; ++l) {
@@ -242,36 +233,6 @@ std::string WriteProvenance::Dump() const {
   for (const auto& [name, bytes] : domains_) {
     AppendF(&out, "domain %s bytes_in=%" PRIu64 "\n", name.c_str(), bytes.value());
   }
-  return out;
-}
-
-std::string WriteProvenance::FormatBreakdown(std::string_view device) const {
-  std::string out;
-  const DeviceLedger* ledger = FindDevice(device);
-  AppendF(&out, "per-cause flash writes [%.*s]\n", static_cast<int>(device.size()),
-          device.data());
-  if (ledger == nullptr) {
-    out += "  (no ledger)\n";
-    return out;
-  }
-  AppendF(&out, "  %-24s %-8s %12s %10s %8s\n", "cause", "layer", "programs", "erases",
-          "share");
-  const double total = static_cast<double>(ledger->total_pages);
-  for (int c = 0; c < kWriteCauseCount; ++c) {
-    for (int l = 0; l < kStackLayerCount; ++l) {
-      const std::uint64_t programs = ledger->programs[c][l];
-      const std::uint64_t erases = ledger->erases[c][l];
-      if (programs == 0 && erases == 0) {
-        continue;
-      }
-      AppendF(&out, "  %-24s %-8s %12" PRIu64 " %10" PRIu64 " %7.2f%%\n",
-              WriteCauseName(static_cast<WriteCause>(c)),
-              StackLayerName(static_cast<StackLayer>(l)), programs, erases,
-              total > 0.0 ? 100.0 * static_cast<double>(programs) / total : 0.0);
-    }
-  }
-  AppendF(&out, "  %-24s %-8s %12" PRIu64 " %10" PRIu64 " %7.2f%%\n", "total", "-",
-          ledger->total_pages, ledger->total_erases, total > 0.0 ? 100.0 : 0.0);
   return out;
 }
 

@@ -158,7 +158,6 @@ class WriteProvenance {
   // Lookups (nullptr / 0 when unknown).
   const DeviceLedger* FindDevice(std::string_view device) const;
   Bytes DomainBytes(std::string_view domain) const;
-  std::vector<std::string> DeviceNames() const;
 
   // Per-cause sums over layers (for tests and tables).
   static std::uint64_t ProgramCount(const DeviceLedger& ledger, WriteCause cause);
@@ -203,9 +202,6 @@ class WriteProvenance {
   // Deterministic text serialization of the full ledger (devices sorted by name, cells in
   // enum order, nonzero cells only). Same seed → byte-identical.
   std::string Dump() const;
-
-  // Human-readable per-cause breakdown table for one device (benches print this).
-  std::string FormatBreakdown(std::string_view device) const;
 
  private:
   struct OpenCause {

@@ -92,9 +92,6 @@ class Bitmap {
     }
   }
 
-  // Approximate heap footprint, for DRAM accounting.
-  std::size_t MemoryBytes() const { return words_.size() * sizeof(std::uint64_t); }
-
  private:
   std::size_t size_ = 0;
   std::vector<std::uint64_t> words_;

@@ -19,6 +19,12 @@ inline void PutLe(std::vector<std::uint8_t>& out, std::uint64_t v, int n) {
     out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
   }
 }
+// Overwrites the `n` bytes at `at` with the low `n` bytes of `v`, least significant first.
+inline void StoreLe(std::uint8_t* at, std::uint64_t v, int n) {
+  for (int i = 0; i < n; ++i) {
+    at[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
 inline void PutU8(std::vector<std::uint8_t>& out, std::uint8_t v) { PutLe(out, v, 1); }
 inline void PutU16(std::vector<std::uint8_t>& out, std::uint16_t v) { PutLe(out, v, 2); }
 inline void PutU32(std::vector<std::uint8_t>& out, std::uint32_t v) { PutLe(out, v, 4); }

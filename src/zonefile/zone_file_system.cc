@@ -52,6 +52,7 @@ ZoneFileSystem::ZoneFileSystem(ZnsDevice* device, const ZoneFileConfig& config)
       reclaimer_(device, config.sched, kFirstDataZone, kGcMaxLiveFraction, kGcStepPages),
       page_size_(device->page_size()),
       zone_pages_(device->zone_size_pages()),
+      core_(device->page_size()),
       frontier_(kLifetimeClasses, kNoZone) {}
 
 Result<std::unique_ptr<ZoneFileSystem>> ZoneFileSystem::Format(ZnsDevice* device,
@@ -146,8 +147,6 @@ Result<std::uint32_t> ZoneFileSystem::FrontierFor(Lifetime hint, SimTime now) {
 }
 
 Result<SimTime> ZoneFileSystem::FlushTailPage(FileMeta& file, SimTime now, bool pad) {
-  assert(pad ? !file.tail.empty() : file.tail.size() >= page_size_);
-  const std::uint64_t bytes = pad ? file.tail.size() : page_size_;
   // A padded flush programs a full page for a partial tail: attribute it to kPadding (scope
   // is a no-op for the common full-page flush).
   WriteProvenance::CauseScope cause(pad ? ProvenanceOf(telemetry_) : nullptr,
@@ -159,41 +158,25 @@ Result<SimTime> ZoneFileSystem::FlushTailPage(FileMeta& file, SimTime now, bool 
   }
   const std::uint32_t zone = frontier.value();
   const ZoneDescriptor d = device_->zone(ZoneId{zone});
-  const std::uint64_t dev_lba = (d.start_lba + d.write_pointer).value();
-
-  std::vector<std::uint8_t> page(page_size_, 0);
-  std::memcpy(page.data(), file.tail.data(), static_cast<std::size_t>(bytes));
-  Result<SimTime> done = device_->Write(ZoneId{zone}, d.write_pointer, 1, now, page);
+  const Lba lba = d.start_lba + d.write_pointer;
+  Result<SimTime> done = device_->Write(ZoneId{zone}, d.write_pointer, 1, now,
+                                        core_.TailPage(file));
   if (!done.ok()) {
     return done;
   }
-  file.tail.erase(file.tail.begin(), file.tail.begin() + static_cast<std::ptrdiff_t>(bytes));
-
-  // Extend the previous extent when physically contiguous, hole-free, and within the same
-  // zone (an extent crossing a zone boundary would break per-zone live accounting — adjacent
-  // zones are adjacent in LBA space).
-  const bool audit = audit_files_ != nullptr && audit_files_->armed();
-  if (!file.extents.empty()) {
-    Extent& last = file.extents.back();
-    if (last.dev_lba + last.pages == dev_lba &&
-        last.dev_lba / zone_pages_ == dev_lba / zone_pages_ &&
-        last.bytes == static_cast<std::uint64_t>(last.pages) * page_size_) {
-      const std::uint64_t pre = audit ? ExtentEntryHash(file.id, last) : 0;
-      last.pages += 1;
-      last.bytes += bytes;
-      reclaimer_.AddLive(zone, 1);
-      stats_.data_pages_flushed++;
-      if (audit) {
-        audit_files_->Replace(done.value(), pre, ExtentEntryHash(file.id, last));
-      }
-      return done;
-    }
-  }
-  file.extents.push_back(Extent{dev_lba, 1, bytes});
+  // A page that opens a zone starts a new extent: an extent crossing a zone boundary would
+  // break per-zone live accounting (adjacent zones are adjacent in LBA space).
+  const std::optional<Extent> extended =
+      core_.CommitTailPage(file, lba, /*may_extend=*/lba.value() % zone_pages_ != 0);
   reclaimer_.AddLive(zone, 1);
   stats_.data_pages_flushed++;
-  if (audit) {
-    audit_files_->Insert(done.value(), ExtentEntryHash(file.id, file.extents.back()));
+  if (audit_files_ != nullptr && audit_files_->armed()) {
+    const std::uint64_t post = ExtentEntryHash(file.id, file.extents.back());
+    if (extended.has_value()) {
+      audit_files_->Replace(done.value(), ExtentEntryHash(file.id, *extended), post);
+    } else {
+      audit_files_->Insert(done.value(), post);
+    }
   }
   return done;
 }
@@ -218,7 +201,7 @@ Result<SimTime> ZoneFileSystem::Create(std::string_view name, Lifetime hint, Sim
     telemetry_->events.Append(now, TimelineEventType::kFileLifecycle, metric_prefix_,
                               "create " + std::string(name), id);
   }
-  return WriteMetaBlob(kRecFile, SerializeFileRecord(files_.at(id)), now);
+  return JournalFile(files_.at(id), now);
 }
 
 Result<SimTime> ZoneFileSystem::Append(std::string_view name,
@@ -229,32 +212,29 @@ Result<SimTime> ZoneFileSystem::Append(std::string_view name,
     return ErrorCode::kNotFound;
   }
   Tracer::Span span = Tracer::Start(append_span_, now);
-  SimTime done = now;
-  std::size_t consumed = 0;
-  while (consumed < data.size()) {
-    const std::size_t want = page_size_ - file->tail.size();
-    const std::size_t take = std::min(want, data.size() - consumed);
-    file->tail.insert(file->tail.end(), data.begin() + static_cast<std::ptrdiff_t>(consumed),
-                      data.begin() + static_cast<std::ptrdiff_t>(consumed + take));
-    consumed += take;
-    // Accounted incrementally so a failed flush leaves size == extents + tail (consistent).
-    file->size += take;
-    stats_.bytes_appended += take;
+  // Bytes the tail took are accounted before each flush and at the end, so a failed flush
+  // leaves the stats matching size == extents + tail.
+  std::uint64_t accounted = file->size;
+  auto account = [&] {
+    const std::uint64_t taken = file->size - accounted;
+    accounted = file->size;
+    stats_.bytes_appended += taken;
     if (provenance_ingress_ != nullptr) {
-      *provenance_ingress_ += Bytes{take};
+      *provenance_ingress_ += Bytes{taken};
     }
-    if (file->tail.size() >= page_size_) {
-      Result<SimTime> flushed = FlushTailPage(*file, done, /*pad=*/false);
-      if (!flushed.ok()) {
-        return flushed;
-      }
-      done = flushed.value();
-    }
+  };
+  Result<SimTime> done = core_.Append(*file, data, now, [&](SimTime t) {
+    account();
+    return FlushTailPage(*file, t, /*pad=*/false);
+  });
+  account();
+  if (!done.ok()) {
+    return done;
   }
   if (telemetry_ != nullptr) {
-    telemetry_->timeline.AdvanceGroup(sampler_group_, done);
+    telemetry_->timeline.AdvanceGroup(sampler_group_, done.value());
   }
-  span.End(done);
+  span.End(done.value());
   return done;
 }
 
@@ -270,47 +250,18 @@ Result<SimTime> ZoneFileSystem::Read(std::string_view name, std::uint64_t offset
   }
   stats_.bytes_read += out.size();
   Tracer::Span span = Tracer::Start(read_span_, now);
-
-  SimTime done_all = now;
-  std::uint64_t cur = offset;       // Position within the remaining extent walk.
-  std::size_t out_pos = 0;
-  std::vector<std::uint8_t> page(page_size_);
-  for (const Extent& ext : file->extents) {
-    if (out_pos == out.size()) {
-      break;
-    }
-    if (cur >= ext.bytes) {
-      cur -= ext.bytes;
-      continue;
-    }
-    while (cur < ext.bytes && out_pos < out.size()) {
-      const std::uint64_t page_index = cur / page_size_;
-      const std::uint64_t byte_in_page = cur % page_size_;
-      const std::uint64_t chunk = std::min<std::uint64_t>(
-          {page_size_ - byte_in_page, ext.bytes - cur, out.size() - out_pos});
-      Result<SimTime> done = device_->Read(Lba{ext.dev_lba + page_index}, 1, now, page);
-      if (!done.ok()) {
-        return done;
-      }
-      done_all = std::max(done_all, done.value());
-      std::memcpy(out.data() + out_pos, page.data() + byte_in_page,
-                  static_cast<std::size_t>(chunk));
-      out_pos += static_cast<std::size_t>(chunk);
-      cur += chunk;
-    }
-    cur = 0;
-  }
-  // Whatever remains lives in the in-memory tail.
-  if (out_pos < out.size()) {
-    const std::size_t chunk = out.size() - out_pos;
-    assert(cur + chunk <= file->tail.size());
-    std::memcpy(out.data() + out_pos, file->tail.data() + cur, chunk);
+  Result<SimTime> done =
+      core_.Read(*file, offset, out, now, [&](Lba lba, std::span<std::uint8_t> page) {
+        return device_->Read(lba, 1, now, page);
+      });
+  if (!done.ok()) {
+    return done;
   }
   if (telemetry_ != nullptr) {
-    telemetry_->timeline.AdvanceGroup(sampler_group_, done_all);
+    telemetry_->timeline.AdvanceGroup(sampler_group_, done.value());
   }
-  span.End(done_all);
-  return done_all;
+  span.End(done.value());
+  return done;
 }
 
 Result<SimTime> ZoneFileSystem::Sync(std::string_view name, SimTime now) {
@@ -356,7 +307,7 @@ Result<SimTime> ZoneFileSystem::Sync(std::string_view name, SimTime now) {
       }
     }
   }
-  return WriteMetaBlob(kRecFile, SerializeFileRecord(*file), t);
+  return JournalFile(*file, t);
 }
 
 Result<SimTime> ZoneFileSystem::Delete(std::string_view name, SimTime now) {
@@ -367,7 +318,7 @@ Result<SimTime> ZoneFileSystem::Delete(std::string_view name, SimTime now) {
   }
   const bool audit = audit_files_ != nullptr && audit_files_->armed();
   for (const Extent& ext : file->extents) {
-    reclaimer_.DropLive(static_cast<std::uint32_t>(ext.dev_lba / zone_pages_), ext.pages);
+    reclaimer_.DropLive(static_cast<std::uint32_t>(ext.lba / zone_pages_), ext.pages);
     if (audit) {
       audit_files_->Remove(now, ExtentEntryHash(file->id, ext));
     }
@@ -375,8 +326,8 @@ Result<SimTime> ZoneFileSystem::Delete(std::string_view name, SimTime now) {
   if (audit) {
     audit_files_->Remove(now, FileEntryHash(*file));
   }
-  std::vector<std::uint8_t> blob;
-  PutU32(blob, file->id);
+  record_.clear();
+  PutU32(record_, file->id);
   const std::uint32_t id = file->id;
   names_.erase(file->name);
   files_.erase(id);
@@ -385,7 +336,7 @@ Result<SimTime> ZoneFileSystem::Delete(std::string_view name, SimTime now) {
     telemetry_->events.Append(now, TimelineEventType::kFileLifecycle, metric_prefix_,
                               "delete " + std::string(name), id);
   }
-  return WriteMetaBlob(kRecDelete, blob, now);
+  return WriteMetaBlob(kRecDelete, record_, now);
 }
 
 bool ZoneFileSystem::Exists(std::string_view name) const { return Find(name) != nullptr; }
@@ -445,9 +396,9 @@ Status ZoneFileSystem::StartGcVictim(SimTime now, bool critical) {
   const ZoneDescriptor vd = device_->zone(ZoneId{reclaimer_.victim()});
   for (const auto& [id, file] : files_) {
     for (const Extent& ext : file.extents) {
-      if (ext.dev_lba >= vd.start_lba.value() &&
-          ext.dev_lba < vd.start_lba.value() + vd.capacity_pages) {
-        gc_.items.push_back(GcWorkItem{id, ext.dev_lba, ext.pages, ext.bytes});
+      if (ext.lba >= vd.start_lba.value() &&
+          ext.lba < vd.start_lba.value() + vd.capacity_pages) {
+        gc_.items.push_back(GcWorkItem{id, ext.lba, ext.pages, ext.bytes});
       }
     }
   }
@@ -480,7 +431,7 @@ Result<SimTime> ZoneFileSystem::GcStep(SimTime now, bool critical, std::uint32_t
     // Locate the (possibly already split) extent this item tracks.
     std::size_t idx = 0;
     for (; idx < file.extents.size(); ++idx) {
-      if (file.extents[idx].dev_lba == item.dev_lba && file.extents[idx].pages == item.pages) {
+      if (file.extents[idx].lba == item.dev_lba && file.extents[idx].pages == item.pages) {
         break;
       }
     }
@@ -558,10 +509,8 @@ Result<SimTime> ZoneFileSystem::GcStep(SimTime now, bool critical, std::uint32_t
       if (it == files_.end()) {
         continue;
       }
-      const std::vector<std::uint8_t> rec = SerializeFileRecord(it->second);
       PutU8(batch, kRecFile);
-      PutU32(batch, static_cast<std::uint32_t>(rec.size()));
-      batch.insert(batch.end(), rec.begin(), rec.end());
+      PutSizedFileRecord(batch, it->second);
     }
     Result<SimTime> logged = WriteMetaBlob(kRecBatch, batch, t);
     if (!logged.ok()) {
@@ -647,8 +596,7 @@ double ZoneFileSystem::EndToEndWriteAmplification() const {
 
 // --- Metadata journal ---
 
-std::vector<std::uint8_t> ZoneFileSystem::SerializeFileRecord(const FileMeta& file) const {
-  std::vector<std::uint8_t> blob;
+void ZoneFileSystem::PutFileRecord(std::vector<std::uint8_t>& blob, const FileMeta& file) {
   PutU32(blob, file.id);
   PutU8(blob, static_cast<std::uint8_t>(file.hint));
   PutU16(blob, static_cast<std::uint16_t>(file.name.size()));
@@ -656,11 +604,24 @@ std::vector<std::uint8_t> ZoneFileSystem::SerializeFileRecord(const FileMeta& fi
   PutU64(blob, file.synced_size);
   PutU32(blob, static_cast<std::uint32_t>(file.extents.size()));
   for (const Extent& ext : file.extents) {
-    PutU64(blob, ext.dev_lba);
+    PutU64(blob, ext.lba);
     PutU32(blob, ext.pages);
     PutU64(blob, ext.bytes);
   }
-  return blob;
+}
+
+void ZoneFileSystem::PutSizedFileRecord(std::vector<std::uint8_t>& blob,
+                                        const FileMeta& file) {
+  const std::size_t at = blob.size();
+  PutU32(blob, 0);  // The length, patched once the record is in.
+  PutFileRecord(blob, file);
+  StoreLe(blob.data() + at, blob.size() - at - 4, 4);
+}
+
+Result<SimTime> ZoneFileSystem::JournalFile(const FileMeta& file, SimTime now) {
+  record_.clear();
+  PutFileRecord(record_, file);
+  return WriteMetaBlob(kRecFile, record_, now);
 }
 
 std::vector<std::uint8_t> ZoneFileSystem::SerializeCheckpoint() const {
@@ -668,9 +629,7 @@ std::vector<std::uint8_t> ZoneFileSystem::SerializeCheckpoint() const {
   PutU32(blob, next_file_id_);
   PutU32(blob, static_cast<std::uint32_t>(files_.size()));
   for (const auto& [id, file] : files_) {
-    const std::vector<std::uint8_t> rec = SerializeFileRecord(file);
-    PutU32(blob, static_cast<std::uint32_t>(rec.size()));
-    blob.insert(blob.end(), rec.begin(), rec.end());
+    PutSizedFileRecord(blob, file);
   }
   return blob;
 }
@@ -680,14 +639,11 @@ Status ZoneFileSystem::ApplyRecord(std::uint8_t type, std::span<const std::uint8
   if (type == kRecBatch) {
     while (c.ok() && c.remaining() > 0) {
       const std::uint8_t sub_type = c.U8();
-      const std::uint32_t len = c.U32();
-      const std::string sub = c.String(len);
+      const std::span<const std::uint8_t> sub = c.Take(c.U32());
       if (!c.ok()) {
         return Status(ErrorCode::kCorruption, "bad batch record");
       }
-      BLOCKHEAD_RETURN_IF_ERROR(ApplyRecord(
-          sub_type, std::span<const std::uint8_t>(
-                        reinterpret_cast<const std::uint8_t*>(sub.data()), sub.size())));
+      BLOCKHEAD_RETURN_IF_ERROR(ApplyRecord(sub_type, sub));
     }
     return c.ok() ? Status::Ok() : Status(ErrorCode::kCorruption, "bad batch record");
   }
@@ -716,7 +672,7 @@ Status ZoneFileSystem::ApplyRecord(std::uint8_t type, std::span<const std::uint8
   const std::uint32_t extent_count = c.U32();
   for (std::uint32_t i = 0; i < extent_count && c.ok(); ++i) {
     Extent ext;
-    ext.dev_lba = c.U64();
+    ext.lba = c.U64();
     ext.pages = c.U32();
     ext.bytes = c.U64();
     file.extents.push_back(ext);
@@ -769,22 +725,25 @@ Result<SimTime> ZoneFileSystem::WriteMetaBlob(std::uint8_t type,
   }
 
   SimTime t = now;
-  std::vector<std::uint8_t> page(page_size_, 0);
+  const std::span<std::uint8_t> page = core_.page();
   for (std::uint32_t part = 0; part < parts; ++part) {
     const std::size_t off = static_cast<std::size_t>(part) * payload_cap;
     const std::uint32_t len =
         static_cast<std::uint32_t>(std::min<std::size_t>(payload_cap, blob.size() - off));
-    std::vector<std::uint8_t> header;
-    header.reserve(kMetaHeaderBytes);
-    PutU32(header, kMetaMagic);
-    PutU8(header, type);
-    PutU64(header, meta_seq_++);
-    PutU32(header, static_cast<std::uint32_t>(blob.size()));
-    PutU16(header, static_cast<std::uint16_t>(part));
-    PutU16(header, static_cast<std::uint16_t>(parts));
-    PutU32(header, len);
     std::fill(page.begin(), page.end(), 0);
-    std::memcpy(page.data(), header.data(), header.size());
+    std::size_t at = 0;  // The header, field by field as kMetaHeaderBytes lists it.
+    auto put = [&](std::uint64_t value, int width) {
+      StoreLe(page.data() + at, value, width);
+      at += static_cast<std::size_t>(width);
+    };
+    put(kMetaMagic, 4);
+    put(type, 1);
+    put(meta_seq_++, 8);
+    put(blob.size(), 4);
+    put(part, 2);
+    put(parts, 2);
+    put(len, 4);
+    assert(at == kMetaHeaderBytes);
     if (len > 0) {
       std::memcpy(page.data() + kMetaHeaderBytes, blob.data() + off, len);
     }
@@ -869,11 +828,7 @@ Status ZoneFileSystem::LoadFromZone(std::uint32_t meta_zone, SimTime now) {
       next_file_id_ = ck.U32();
       const std::uint32_t count = ck.U32();
       for (std::uint32_t i = 0; i < count && ck.ok(); ++i) {
-        const std::uint32_t rec_len = ck.U32();
-        const std::string rec = ck.String(rec_len);
-        BLOCKHEAD_RETURN_IF_ERROR(ApplyRecord(
-            kRecFile, std::span<const std::uint8_t>(
-                          reinterpret_cast<const std::uint8_t*>(rec.data()), rec.size())));
+        BLOCKHEAD_RETURN_IF_ERROR(ApplyRecord(kRecFile, ck.Take(ck.U32())));
       }
       if (!ck.ok()) {
         return Status(ErrorCode::kCorruption, "bad checkpoint");
@@ -938,7 +893,7 @@ Result<std::unique_ptr<ZoneFileSystem>> ZoneFileSystem::Mount(ZnsDevice* device,
   // frontiers) -> sealed so GC can reclaim the orphaned pages.
   for (const auto& [id, file] : fs->files_) {
     for (const Extent& ext : file.extents) {
-      fs->reclaimer_.AddLive(static_cast<std::uint32_t>(ext.dev_lba / fs->zone_pages_),
+      fs->reclaimer_.AddLive(static_cast<std::uint32_t>(ext.lba / fs->zone_pages_),
                              ext.pages);
     }
   }
@@ -974,7 +929,7 @@ Status ZoneFileSystem::CheckConsistency() const {
   for (const auto& [id, file] : files_) {
     std::uint64_t extent_bytes = 0;
     for (const Extent& ext : file.extents) {
-      const std::uint64_t zone = ext.dev_lba / zone_pages_;
+      const std::uint64_t zone = ext.lba / zone_pages_;
       if (zone < kFirstDataZone || zone >= device_->num_zones()) {
         return Status(ErrorCode::kCorruption, "extent outside data zones");
       }

@@ -27,6 +27,7 @@
 #include "src/util/status.h"
 #include "src/util/types.h"
 #include "src/zns/zns_device.h"
+#include "src/zonefile/extent_file.h"
 
 namespace blockhead {
 
@@ -124,20 +125,12 @@ class ZoneFileSystem {
   static constexpr std::uint32_t kFirstDataZone = 2;
   static constexpr std::uint32_t kNoZone = ZoneReclaimer::kNoZone;
 
-  struct Extent {
-    std::uint64_t dev_lba = 0;
-    std::uint32_t pages = 0;
-    std::uint64_t bytes = 0;  // Logical bytes stored (== pages * page_size except after pads).
-  };
-
-  struct FileMeta {
+  // Extents hold device LBAs and never cross a zone boundary.
+  struct FileMeta : ExtentFile {
     std::uint32_t id = 0;
     std::string name;
     Lifetime hint = Lifetime::kNone;
-    std::uint64_t size = 0;         // Includes the in-memory tail.
     std::uint64_t synced_size = 0;  // Durable after the last Sync.
-    std::vector<Extent> extents;
-    std::vector<std::uint8_t> tail;  // Partial-page buffer, < page_size bytes.
   };
 
   ZoneFileSystem(ZnsDevice* device, const ZoneFileConfig& config);
@@ -145,8 +138,8 @@ class ZoneFileSystem {
   FileMeta* Find(std::string_view name);
   const FileMeta* Find(std::string_view name) const;
 
-  // Flushes one full page of `file`'s tail to its lifetime frontier. `pad` allows a partial
-  // tail to be padded out (Sync path).
+  // Writes the tail's page (a full one, or padded when `pad`: the Sync path) at its lifetime
+  // frontier.
   Result<SimTime> FlushTailPage(FileMeta& file, SimTime now, bool pad);
   // Picks/refreshes the write frontier for a lifetime class. May trigger forced compaction.
   Result<std::uint32_t> FrontierFor(Lifetime hint, SimTime now);
@@ -166,8 +159,12 @@ class ZoneFileSystem {
   Result<SimTime> WriteMetaBlob(std::uint8_t type, std::span<const std::uint8_t> blob,
                                 SimTime now);
   Result<SimTime> WriteCheckpointAndSwap(SimTime now);
+  // Journals `file`'s record (extent map included) from record_.
+  Result<SimTime> JournalFile(const FileMeta& file, SimTime now);
   std::vector<std::uint8_t> SerializeCheckpoint() const;
-  std::vector<std::uint8_t> SerializeFileRecord(const FileMeta& file) const;
+  // Appends `file`'s record to `blob`; the sized form puts a u32 length in front of it.
+  static void PutFileRecord(std::vector<std::uint8_t>& blob, const FileMeta& file);
+  static void PutSizedFileRecord(std::vector<std::uint8_t>& blob, const FileMeta& file);
   Status ApplyRecord(std::uint8_t type, std::span<const std::uint8_t> payload);
   Status LoadFromZone(std::uint32_t meta_zone, SimTime now);
 
@@ -176,6 +173,7 @@ class ZoneFileSystem {
   ZoneReclaimer reclaimer_;
   std::uint32_t page_size_ = 0;
   std::uint64_t zone_pages_ = 0;
+  ExtentFileCore core_;  // Also lends its page buffer to metadata page writes.
 
   std::map<std::string, std::uint32_t, std::less<>> names_;
   std::map<std::uint32_t, FileMeta> files_;
@@ -184,6 +182,9 @@ class ZoneFileSystem {
   std::vector<std::uint32_t> frontier_;  // Indexed by lifetime class.
 
   std::uint32_t meta_zone_ = kMetaZoneA;
+  // The blob of a one-record journal write (file or delete record), reused across calls;
+  // checkpoints and compaction batches build their own.
+  std::vector<std::uint8_t> record_;
   std::uint64_t meta_seq_ = 0;
   bool in_gc_ = false;  // Guards against forced-GC recursion while relocating extents.
 
@@ -218,7 +219,7 @@ class ZoneFileSystem {
   // splices during compaction stay O(1) (replace the rewritten extent, insert the remainder).
   SubsystemDigest* audit_files_ = nullptr;
   static std::uint64_t ExtentEntryHash(std::uint32_t file_id, const Extent& ext) {
-    return AuditHashWords({1, file_id, ext.dev_lba, ext.pages, ext.bytes});
+    return AuditHashWords({1, file_id, ext.lba, ext.pages, ext.bytes});
   }
   static std::uint64_t FileEntryHash(const FileMeta& file) {
     return AuditHashWords(

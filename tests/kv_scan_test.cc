@@ -1,7 +1,8 @@
 // Tests for the LSM read path: KvStore::Scan against a std::map reference over a store with a
 // memtable, overlapping L0 tables and sorted levels L1-L3; the exact sequence of Env::Read
-// calls a seeded workload makes (pinned as a hash); kCorruption from a truncated block entry
-// on every path that parses blocks; and the serialized bytes of a fixed bloom filter.
+// calls a seeded workload makes on each file backend (pinned as a hash); kCorruption from a
+// truncated block entry on every path that parses blocks; and the serialized bytes of a fixed
+// bloom filter.
 
 #include <gtest/gtest.h>
 
@@ -199,20 +200,23 @@ INSTANTIATE_TEST_SUITE_P(Seeds, KvScanDifferentialTest, ::testing::Values(1, 2, 
 // The SimTime of a read is decided by which blocks it reads and when. This pins the exact
 // Env::Read sequence (name, offset, size, now) of a seeded workload that flushes, compacts
 // through L3, scans at every limit 0..60 and probes with Get, plus the bytes every read
-// returned (table, manifest and WAL contents).
-TEST(KvReadScheduleTest, EnvReadSequenceIsPinned) {
-  ConventionalSsd ssd(SmallFlash(), FtlConfig{});
-  BlockEnv block_env(&ssd);
-  // One hash over the calls (name, offset, size, now), one over the bytes they returned.
+// returned (table, manifest and WAL contents), on each file backend.
+struct ReadSchedule {
   std::uint64_t reads = 0;
+  // One hash over the calls (name, offset, size, now), one over the bytes they returned.
   std::uint64_t call_hash = 1469598103934665603ULL;
   std::uint64_t bytes_hash = 1469598103934665603ULL;
-  TapEnv env(&block_env, [&](std::string_view name, std::uint64_t offset,
-                             std::span<std::uint8_t> out, SimTime now) {
+  SimTime end = 0;
+};
+
+void RunReadSchedule(Env* inner, ReadSchedule* schedule) {
+  TapEnv env(inner, [&](std::string_view name, std::uint64_t offset, std::span<std::uint8_t> out,
+                        SimTime now) {
     const std::uint64_t words[3] = {offset, out.size(), now};
-    call_hash = Fnv(Fnv(call_hash, name.data(), name.size()), words, sizeof(words));
-    bytes_hash = Fnv(bytes_hash, out.data(), out.size());
-    ++reads;
+    schedule->call_hash =
+        Fnv(Fnv(schedule->call_hash, name.data(), name.size()), words, sizeof(words));
+    schedule->bytes_hash = Fnv(schedule->bytes_hash, out.data(), out.size());
+    ++schedule->reads;
   });
   auto opened = KvStore::Open(&env, SmallLevels(), 0);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
@@ -232,10 +236,34 @@ TEST(KvReadScheduleTest, EnvReadSequenceIsPinned) {
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     writer.t = std::max(writer.t, got->completion);
   }
-  EXPECT_EQ(reads, 10359u);
-  EXPECT_EQ(call_hash, 17036960899056127010ULL);
-  EXPECT_EQ(bytes_hash, 15909227318582336569ULL);
-  EXPECT_EQ(writer.t, 157138u);
+  schedule->end = writer.t;
+}
+
+TEST(KvReadScheduleTest, EnvReadSequenceIsPinned) {
+  ConventionalSsd ssd(SmallFlash(), FtlConfig{});
+  BlockEnv block_env(&ssd);
+  ReadSchedule schedule;
+  ASSERT_NO_FATAL_FAILURE(RunReadSchedule(&block_env, &schedule));
+  EXPECT_EQ(schedule.reads, 10359u);
+  EXPECT_EQ(schedule.call_hash, 17036960899056127010ULL);
+  EXPECT_EQ(schedule.bytes_hash, 15909227318582336569ULL);
+  EXPECT_EQ(schedule.end, 157138u);
+}
+
+TEST(KvReadScheduleTest, ZoneEnvReadSequenceIsPinned) {
+  ZnsConfig zns;
+  zns.max_active_zones = 10;
+  zns.max_open_zones = 10;
+  ZnsDevice device(SmallFlash(), zns);
+  auto fs = ZoneFileSystem::Format(&device, ZoneFileConfig{}, 0);
+  ASSERT_TRUE(fs.ok()) << fs.status().ToString();
+  ZoneEnv zone_env(fs.value().get());
+  ReadSchedule schedule;
+  ASSERT_NO_FATAL_FAILURE(RunReadSchedule(&zone_env, &schedule));
+  EXPECT_EQ(schedule.reads, 10359u);
+  EXPECT_EQ(schedule.call_hash, 15483052048852541929ULL);
+  EXPECT_EQ(schedule.bytes_hash, 15909227318582336569ULL);
+  EXPECT_EQ(schedule.end, 3670559u);
 }
 
 TEST(KvCorruptionTest, TruncatedBlockEntryFailsGetScanAndCompaction) {

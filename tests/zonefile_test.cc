@@ -492,6 +492,84 @@ TEST_F(ZoneFileTest, GcRecordReplayTrimsUnsyncedExtents) {
   EXPECT_EQ(out, Bytes(4096, 30));
 }
 
+// FNV-1a over every written page of both metadata zones.
+std::uint64_t MetaZoneHash(ZnsDevice& device) {
+  std::uint64_t h = 1469598103934665603ULL;
+  std::vector<std::uint8_t> page(device.page_size());
+  for (const std::uint32_t z : {0u, 1u}) {
+    const ZoneDescriptor d = device.zone(ZoneId{z});
+    for (std::uint64_t p = 0; p < d.write_pointer; ++p) {
+      EXPECT_TRUE(device.Read(d.start_lba + p, 1, 0, page).ok());
+      for (const std::uint8_t b : page) {
+        h = (h ^ b) * 1099511628211ULL;
+      }
+    }
+  }
+  return h;
+}
+
+// Pins the journal's on-media bytes for a fixed file set: a compaction cycle's batch blob,
+// then the checkpoint a meta-zone swap writes and the batch of a second cycle behind it. The
+// files cover every lifetime class and a file of ~250 extents, so each blob spans two pages.
+TEST_F(ZoneFileTest, JournalBytesArePinned) {
+  ZoneFileConfig eager;
+  eager.sched.low_free_fraction = 1.0;
+  {
+    auto fs = ZoneFileSystem::Format(device_.get(), eager, 0);
+    ASSERT_TRUE(fs.ok());
+    fs_ = std::move(fs).value();
+  }
+  SimTime t = 0;
+  for (std::uint32_t c = 0; c < kLifetimeClasses; ++c) {
+    const std::string name = "class" + std::to_string(c) + std::string(c * 7, 'x');
+    ASSERT_TRUE(fs_->Create(name, static_cast<Lifetime>(c), t).ok());
+    ASSERT_TRUE(fs_->Append(name, Bytes(1000 + 3000 * c, c), t).ok());
+    ASSERT_TRUE(fs_->Sync(name, t).ok());
+  }
+  // Interleave a dead and a live file so sealed zones are half live, with a sync every few
+  // pages so "live" holds many padded extents.
+  ASSERT_TRUE(fs_->Create("dead", Lifetime::kNone, t).ok());
+  ASSERT_TRUE(fs_->Create("live", Lifetime::kNone, t).ok());
+  const std::uint64_t zone_pages = device_->zone_size_pages();
+  for (std::uint64_t i = 0; i < 2 * zone_pages; ++i) {
+    auto a = fs_->Append("dead", Bytes(4096, 1), t);
+    ASSERT_TRUE(a.ok());
+    auto b = fs_->Append("live", Bytes(4000 + i % 200, i), a.value());
+    ASSERT_TRUE(b.ok());
+    t = b.value();
+    if (i % 5 == 0) {
+      ASSERT_TRUE(fs_->Sync("live", t).ok());
+    }
+  }
+  ASSERT_TRUE(fs_->Sync("dead", t).ok());
+  ASSERT_TRUE(fs_->Sync("live", t).ok());
+  ASSERT_TRUE(fs_->Delete("dead", t).ok());
+  std::uint64_t meta_pages = fs_->stats().meta_pages_written;
+  for (int i = 0; i < 1000 && fs_->stats().gc_cycles == 0; ++i) {
+    ASSERT_EQ(fs_->Pump(t, false, 1), 1u);
+  }
+  ASSERT_EQ(fs_->stats().gc_cycles, 1u);
+  ASSERT_EQ(fs_->stats().checkpoints, 0u);
+  ASSERT_EQ(fs_->stats().meta_pages_written, meta_pages + 2) << "a two-page batch";
+  const std::uint64_t with_batch = MetaZoneHash(*device_);
+
+  for (int i = 0; i < 1000 && fs_->stats().checkpoints == 0; ++i) {
+    meta_pages = fs_->stats().meta_pages_written;
+    Result<SimTime> synced = fs_->Sync("class0", t);
+    ASSERT_TRUE(synced.ok()) << synced.status().ToString();
+  }
+  ASSERT_EQ(fs_->stats().checkpoints, 1u);
+  ASSERT_EQ(fs_->stats().meta_pages_written, meta_pages + 3) << "a two-page checkpoint";
+  for (int i = 0; i < 1000 && fs_->stats().gc_cycles == 1; ++i) {
+    ASSERT_EQ(fs_->Pump(t, false, 1), 1u);
+  }
+  ASSERT_EQ(fs_->stats().gc_cycles, 2u);
+  ASSERT_EQ(fs_->stats().checkpoints, 1u);
+  EXPECT_EQ(with_batch, 14399639900976037637ULL);
+  EXPECT_EQ(MetaZoneHash(*device_), 2027725077889749773ULL);
+  EXPECT_TRUE(fs_->CheckConsistency().ok());
+}
+
 TEST_F(ZoneFileTest, WriteAmplificationNearOneForGroupedLifetimes) {
   // Churn where whole files die together (hint-grouped): WA should stay near 1 because zones
   // die wholesale and are reset, not copied.
